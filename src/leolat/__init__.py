@@ -41,6 +41,7 @@ from .experiment import (
     compare,
     oftn_latency,
     run_scenario,
+    run_scenarios,
 )
 
 __all__ = [
@@ -77,5 +78,6 @@ __all__ = [
     "parse_sat_id",
     "position_at",
     "run_scenario",
+    "run_scenarios",
     "shortest_path",
 ]

@@ -35,8 +35,8 @@ from .experiment import (
     SlotResult,
     builtin_scenarios,
     oftn_latency,
-    run_scenario,
-    summarize,
+    run_scenarios,
+    slot_count,
 )
 from .geo import CONSTANTS, GeodeticPoint, PhysicalConstants, great_circle_distance, inertial_to_geodetic
 from .routing import shortest_path
@@ -66,17 +66,14 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
-        if self.slot_s <= 0 or self.duration_s < 0:
-            raise ValueError("slot_s must be > 0 and duration_s >= 0")
-        if abs(round(self.duration_s / self.slot_s) * self.slot_s - self.duration_s) > 1e-9:
-            raise ValueError("slot_s must divide duration_s")
+        slot_count(self.duration_s, self.slot_s)
         unknown = set(self.formats) - {"csv", "json"}
         if unknown:
             raise ValueError(f"unknown output formats: {sorted(unknown)}")
 
     @property
     def n_slots(self) -> int:
-        return round(self.duration_s / self.slot_s)
+        return slot_count(self.duration_s, self.slot_s)
 
 
 def default_run_config() -> RunConfig:
@@ -165,6 +162,7 @@ def load_config(path: str | Path | None) -> RunConfig:
             raise CliError("scenarios list is empty")
         scenarios = tuple(parsed)
 
+    formats = doc.get("formats", base.formats)
     try:
         return RunConfig(
             constellation=constellation,
@@ -174,7 +172,7 @@ def load_config(path: str | Path | None) -> RunConfig:
             duration_s=doc.get("duration_s", base.duration_s),
             slot_s=doc.get("slot_s", base.slot_s),
             out_dir=str(doc.get("out_dir", base.out_dir)),
-            formats=tuple(doc.get("formats", base.formats)),
+            formats=(formats,) if isinstance(formats, str) else tuple(formats),
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid config: {exc}") from exc
@@ -274,24 +272,21 @@ def cmd_run(cfg: RunConfig, workers: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
-    per_scenario = []
-    for scenario in cfg.scenarios:
-        t1 = time.perf_counter()
-        results, summary = run_scenario(
-            scenario,
-            cfg.constellation,
-            cfg.topology,
-            duration_s=cfg.duration_s,
-            slot_s=cfg.slot_s,
-            workers=workers,
-            constants=cfg.constants,
-        )
-        log.info(
-            "%s: %d slots, %d unreachable, %.1f s wall",
-            scenario.name, summary.slots, summary.unreachable_slots,
-            time.perf_counter() - t1,
-        )
-        per_scenario.append((scenario, results, summary))
+    runs = run_scenarios(
+        cfg.scenarios,
+        cfg.constellation,
+        cfg.topology,
+        duration_s=cfg.duration_s,
+        slot_s=cfg.slot_s,
+        workers=workers,
+        constants=cfg.constants,
+    )
+    per_scenario = [(scenario, results, summary)
+                    for scenario, (results, summary) in zip(cfg.scenarios, runs)]
+    for scenario, _, summary in per_scenario:
+        log.info("%s: %d slots, %d unreachable",
+                 scenario.name, summary.slots, summary.unreachable_slots)
+    log.info("routed %d scenarios in %.1f s wall", len(runs), time.perf_counter() - t0)
 
     written: list[Path] = []
     try:
@@ -339,12 +334,12 @@ def cmd_sweep_range(cfg: RunConfig, ranges: list[float], workers: int) -> int:
     rows = []
     for lisl_range in ranges:
         params = dataclasses.replace(cfg.topology, lisl_range_km=lisl_range)
-        for scenario in cfg.scenarios:
-            _, summary = run_scenario(
-                scenario, cfg.constellation, params,
-                duration_s=cfg.duration_s, slot_s=cfg.slot_s,
-                workers=workers, constants=cfg.constants,
-            )
+        runs = run_scenarios(
+            cfg.scenarios, cfg.constellation, params,
+            duration_s=cfg.duration_s, slot_s=cfg.slot_s,
+            workers=workers, constants=cfg.constants,
+        )
+        for scenario, (_, summary) in zip(cfg.scenarios, runs):
             avg = "" if summary.owsn_avg_latency_ms is None else f"{summary.owsn_avg_latency_ms:.4f}"
             rows.append([scenario.name, f"{lisl_range:g}", avg, summary.unreachable_slots])
             log.info("range %g km, %s: avg %s ms, %d unreachable",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import CONSTANTS, PhysicalConstants, Vec3
+from .geo import CONSTANTS, PhysicalConstants, Vec3, require_finite
 
 _SAT_ID_RE = re.compile(r"^x1(\d{2})(\d{2})$")
 
@@ -34,6 +34,7 @@ class ConstellationConfig:
     epoch: float = 0.0          # reference time, s; t is measured from it
 
     def __post_init__(self):
+        require_finite(self)
         if self.num_planes < 1 or self.sats_per_plane < 1:
             raise ValueError("num_planes and sats_per_plane must be >= 1")
         if self.altitude_km <= 0:

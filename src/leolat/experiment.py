@@ -2,10 +2,11 @@
 
 Each scenario routes one city pair through the constellation once per
 time slot over the sweep horizon, then summarizes the reachable-slot
-latency statistics against the great-circle fiber baseline. Slots are
-independent, so they can be fanned out over a process pool; results are
-merged in slot order, which keeps every output independent of worker
-count.
+latency statistics against the great-circle fiber baseline. The slot
+engine builds each slot's laser graph once and routes every scenario of
+the run over it. Slots are independent, so blocks of them can be fanned
+out over a process pool; results are merged in slot order, which keeps
+every output independent of worker count.
 """
 
 from __future__ import annotations
@@ -13,11 +14,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .constellation import Constellation, ConstellationConfig
 from .geo import CONSTANTS, GeodeticPoint, PhysicalConstants, great_circle_distance
-from .routing import Route, shortest_path
-from .topology import NodeRef, TopologyParams, build_snapshot
+from .routing import Route, directed_graph, distances_from, link_latencies, trace_route
+from .topology import NodeRef, TopologyParams, slot_links
 
 # Reproduction defaults. Neither the shell's inter-plane phasing nor the
 # ground elevation mask is pinned down by the published constellation
@@ -108,34 +112,6 @@ def compare(owsn_avg_ms: float, oftn_ms: float) -> tuple[float, float]:
     return improvement_ms, 100.0 * improvement_ms / oftn_ms
 
 
-def _route_slots(
-    cfg: ConstellationConfig,
-    params: TopologyParams,
-    scenario: Scenario,
-    slot_indices: range,
-    slot_s: float,
-    constants: PhysicalConstants,
-) -> list[SlotResult]:
-    """Route one scenario over a contiguous block of slots."""
-    constellation = Constellation(cfg, constants)
-    stations = [scenario.src, scenario.dst]
-    src = NodeRef.ground(scenario.src.label)
-    dst = NodeRef.ground(scenario.dst.label)
-    results = []
-    for k in slot_indices:
-        t = (k - 1) * slot_s
-        graph = build_snapshot(constellation, stations, t, params, slot_index=k)
-        route = shortest_path(graph, src, dst)
-        results.append(
-            SlotResult(
-                slot_index=k,
-                route=route,
-                latency_ms=route.total_latency_s * 1000.0 if route else None,
-            )
-        )
-    return results
-
-
 def summarize(
     scenario: Scenario,
     slot_results: list[SlotResult],
@@ -165,6 +141,130 @@ def summarize(
     )
 
 
+def slot_count(duration_s: float, slot_s: float) -> int:
+    """Number of slots in the horizon; slot_s must divide duration_s."""
+    if not (math.isfinite(slot_s) and math.isfinite(duration_s)):
+        raise ValueError("slot_s and duration_s must be finite")
+    if slot_s <= 0 or duration_s < 0:
+        raise ValueError("slot_s must be > 0 and duration_s >= 0")
+    n_slots = round(duration_s / slot_s)
+    if abs(n_slots * slot_s - duration_s) > 1e-9:
+        raise ValueError("slot_s must divide duration_s")
+    return n_slots
+
+
+class _SlotEngine:
+    """Routes every scenario of a run over one graph per slot.
+
+    The graph is directed. Each distinct station has one row, holding only
+    its uplinks; satellite rows follow and hold the laser links, one entry
+    per direction. No edge enters a station, so no scenario's station can
+    relay another scenario's route. One Dijkstra call per slot, from the
+    destination rows along their uplinks, gives every satellite's latency
+    to each destination.
+    """
+
+    def __init__(
+        self,
+        cfg: ConstellationConfig,
+        params: TopologyParams,
+        scenarios: Sequence[Scenario],
+        constants: PhysicalConstants,
+    ):
+        self.constellation = Constellation(cfg, constants)
+        self.params = params
+        row: dict[GeodeticPoint, int] = {}
+        for sc in scenarios:
+            row.setdefault(sc.src, len(row))
+            row.setdefault(sc.dst, len(row))
+        self.stations = list(row)
+        self.queries = [(row[sc.src], row[sc.dst]) for sc in scenarios]
+        self.targets = sorted({dst for _, dst in self.queries})
+        self.nodes = [NodeRef.ground(s.label) for s in self.stations] + [
+            NodeRef.satellite(sid) for sid in self.constellation.sat_ids
+        ]
+
+    def route_slot(self, t: float) -> list[Route | None]:
+        links = slot_links(self.constellation, self.stations, t, self.params)
+        i, j, dist_km = links.edges(len(self.stations))
+        lat = link_latencies(dist_km, self.constellation.constants.c_vacuum)
+        up = links.n_uplinks  # uplinks one way, laser links both ways
+        n = len(self.nodes)
+        graph = directed_graph(n, np.concatenate([i, j[up:]]), np.concatenate([j, i[up:]]),
+                               np.concatenate([lat, lat[up:]]))
+        # Each satellite's downlink latency to a destination is the
+        # destination's uplink read backwards.
+        towards = {}
+        for dst, dist in zip(self.targets, distances_from(graph, self.targets)):
+            lo, hi = graph.indptr[dst], graph.indptr[dst + 1]
+            into_dst = np.full(n, np.inf)
+            into_dst[graph.indices[lo:hi]] = graph.data[lo:hi]
+            towards[dst] = dist, into_dst
+        return [trace_route(graph, towards[dst][0], src, dst, self.nodes.__getitem__, towards[dst][1])
+                for src, dst in self.queries]
+
+
+def _route_block(
+    cfg: ConstellationConfig,
+    params: TopologyParams,
+    scenarios: Sequence[Scenario],
+    slot_indices: range,
+    slot_s: float,
+    constants: PhysicalConstants,
+) -> list[list[SlotResult]]:
+    """Per-scenario results over a contiguous block of slots."""
+    engine = _SlotEngine(cfg, params, scenarios, constants)
+    per_scenario: list[list[SlotResult]] = [[] for _ in scenarios]
+    for k in slot_indices:
+        for results, route in zip(per_scenario, engine.route_slot((k - 1) * slot_s)):
+            results.append(SlotResult(
+                slot_index=k,
+                route=route,
+                latency_ms=route.total_latency_s * 1000.0 if route else None,
+            ))
+    return per_scenario
+
+
+def _route_block_star(args) -> list[list[SlotResult]]:
+    return _route_block(*args)
+
+
+def run_scenarios(
+    scenarios: Sequence[Scenario],
+    cfg: ConstellationConfig,
+    params: TopologyParams,
+    duration_s: float = 3600,
+    slot_s: float = 1,
+    workers: int = 1,
+    constants: PhysicalConstants = CONSTANTS,
+) -> list[tuple[list[SlotResult], ScenarioSummary]]:
+    """Per-slot routes and the summary of each scenario, in scenario order.
+
+    Slot k (1-based) is evaluated at t = (k-1)*slot_s seconds past epoch;
+    slot_s must divide duration_s. Each slot's graph is built once for all
+    scenarios. With workers > 1, contiguous slot blocks run in separate
+    processes and are merged back in slot order.
+    """
+    n_slots = slot_count(duration_s, slot_s)
+    per_scenario: list[list[SlotResult]] = [[] for _ in scenarios]
+    if n_slots and scenarios:
+        if workers <= 1 or n_slots < 2 * workers:
+            per_scenario = _route_block(cfg, params, scenarios, range(1, n_slots + 1),
+                                        slot_s, constants)
+        else:
+            bounds = [1 + (n_slots * w) // workers for w in range(workers + 1)]
+            chunks = [range(bounds[w], bounds[w + 1]) for w in range(workers)]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for part in pool.map(
+                    _route_block_star,
+                    [(cfg, params, scenarios, chunk, slot_s, constants) for chunk in chunks],
+                ):
+                    for results, block in zip(per_scenario, part):
+                        results.extend(block)
+    return [(results, summarize(sc, results, constants))
+            for sc, results in zip(scenarios, per_scenario)]
+
+
 def run_scenario(
     scenario: Scenario,
     cfg: ConstellationConfig,
@@ -174,38 +274,8 @@ def run_scenario(
     workers: int = 1,
     constants: PhysicalConstants = CONSTANTS,
 ) -> tuple[list[SlotResult], ScenarioSummary]:
-    """Per-slot routes and the summary for one scenario.
-
-    Slot k (1-based) is evaluated at t = (k-1)*slot_s seconds past epoch;
-    slot_s must divide duration_s. With workers > 1, contiguous slot
-    blocks run in separate processes and are merged back in slot order.
-    """
-    if slot_s <= 0 or duration_s < 0:
-        raise ValueError("slot_s must be > 0 and duration_s >= 0")
-    n_slots = round(duration_s / slot_s)
-    if abs(n_slots * slot_s - duration_s) > 1e-9:
-        raise ValueError("slot_s must divide duration_s")
-
-    if n_slots == 0:
-        return [], summarize(scenario, [], constants)
-
-    if workers <= 1 or n_slots < 2 * workers:
-        results = _route_slots(cfg, params, scenario, range(1, n_slots + 1), slot_s, constants)
-    else:
-        bounds = [1 + (n_slots * w) // workers for w in range(workers + 1)]
-        chunks = [range(bounds[w], bounds[w + 1]) for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _route_slots_star,
-                [(cfg, params, scenario, chunk, slot_s, constants) for chunk in chunks],
-            )
-            results = [r for part in parts for r in part]
-
-    return results, summarize(scenario, results, constants)
-
-
-def _route_slots_star(args) -> list[SlotResult]:
-    return _route_slots(*args)
+    """Per-slot routes and the summary for one scenario; see run_scenarios."""
+    return run_scenarios([scenario], cfg, params, duration_s, slot_s, workers, constants)[0]
 
 
 def chord_bound_ms(

@@ -8,12 +8,21 @@ boundary and radians internally.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 Vec3 = np.ndarray  # shape (3,), km, ECI frame
+
+
+def require_finite(obj) -> None:
+    """Raise ValueError if any numeric field of a dataclass is NaN or infinite."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -25,6 +34,12 @@ class PhysicalConstants:
     earth_radius_km: float = 6378.0
     earth_rotation_rate: float = 7.2921159e-5  # rad/s, sidereal
     mu_earth: float = 398_600.4418           # km^3/s^2
+
+    def __post_init__(self):
+        require_finite(self)
+        for name in ("c_vacuum", "fiber_refractive_index", "earth_radius_km", "mu_earth"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
     @property
     def c_fiber(self) -> float:
@@ -54,6 +69,7 @@ class GeodeticPoint:
     label: str = ""
 
     def __post_init__(self):
+        require_finite(self)
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValueError(f"latitude {self.latitude_deg} outside [-90, 90]")
         object.__setattr__(

@@ -1,18 +1,21 @@
-"""Minimum-latency pathfinding over a snapshot graph.
+"""Minimum-latency pathfinding over snapshot graphs.
 
 Dijkstra over positive weights, made fully deterministic: among
 equal-latency shortest paths the route with the lexicographically
 smallest node sequence (ground stations before satellites, then by
-label) is returned. The search runs from the destination so the route
-can be rebuilt forward from the source, greedily taking the smallest
-eligible next hop at each step.
+label) is returned. Distances are computed from the destination with
+scipy's C Dijkstra, and the route is rebuilt forward from the source,
+greedily taking the smallest eligible next hop at each step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from typing import Callable
+
+import numpy as np
+from scipy.sparse import csr_matrix
 
 from .topology import NodeRef, SnapshotGraph
 
@@ -37,69 +40,113 @@ class Route:
         return [n.label for n in self.nodes]
 
 
+def link_latencies(dist_km: np.ndarray, c_vacuum: float) -> np.ndarray:
+    """Propagation latency in s of links of the given lengths in km."""
+    return dist_km * (1000.0 / c_vacuum)
+
+
+def directed_graph(
+    n_nodes: int, tails: np.ndarray, heads: np.ndarray, latencies_s: np.ndarray
+) -> csr_matrix:
+    """CSR matrix holding one directed edge tail -> head per entry.
+
+    Neighbors within a row are left unsorted; nothing downstream needs
+    them in order.
+    """
+    order = np.argsort(tails)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=n_nodes), out=indptr[1:])
+    return csr_matrix((latencies_s[order], heads[order].astype(np.int32, copy=False), indptr),
+                      shape=(n_nodes, n_nodes))
+
+
+def distances_from(graph: csr_matrix, sources) -> np.ndarray:
+    """Shortest-path latencies from each source along the graph's edges.
+
+    Where every link the search can reach is stored in both directions,
+    these are also the latencies towards the source.
+    """
+    # Imported here: csgraph pulls in scipy.sparse.linalg, which costs tens
+    # of ms at start-up for commands that never route.
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(graph, directed=True, indices=sources)
+
+
+def trace_route(
+    graph: csr_matrix,
+    dist: np.ndarray,
+    src: int,
+    dst: int,
+    node_ref: Callable[[int], NodeRef],
+    into_dst: np.ndarray | None = None,
+) -> Route | None:
+    """Forward walk from src to dst over the distances to dst.
+
+    dist[v] is the latency from v to dst; src's own entry is not read, so
+    src may be a node the search could not reach. into_dst, when given,
+    holds the latency of links v -> dst that the graph stores only as
+    dst -> v (inf where there is none). node_ref names each node of the
+    route. Returns None when dst is unreachable.
+    """
+    indptr, indices, weights = graph.indptr, graph.indices, graph.data
+    path = [src]
+    hops: list[float] = []
+    u = src
+    lo, hi = indptr[u], indptr[u + 1]
+    du = (weights[lo:hi] + dist[indices[lo:hi]]).min() if hi > lo else math.inf
+    if du == math.inf:
+        return None
+
+    # Every finite distance was set by a relaxation dist[u] = w(u,v) +
+    # dist[v], so an eligible neighbor always exists and distances strictly
+    # decrease (weights are positive) until dst. Taking the smallest
+    # eligible node index at each step yields the lexicographically
+    # smallest equal-latency node sequence.
+    while u != dst:
+        lo, hi = indptr[u], indptr[u + 1]
+        nbrs = indices[lo:hi]
+        w = weights[lo:hi]
+        ok = np.flatnonzero(w + dist[nbrs] == du)
+        v = None
+        if len(ok):
+            k = ok[np.argmin(nbrs[ok])]
+            v, hop = int(nbrs[k]), float(w[k])
+        if into_dst is not None and into_dst[u] == du and (v is None or dst < v):
+            v, hop = dst, float(into_dst[u])
+        if v is None:  # pragma: no cover - excluded by the invariant above
+            raise RuntimeError("route reconstruction lost the shortest-path trail")
+        path.append(v)
+        hops.append(hop)
+        u = v
+        du = dist[u]
+    return Route(
+        nodes=tuple(node_ref(idx) for idx in path),
+        hop_latencies_s=tuple(hops),
+        total_latency_s=math.fsum(hops),
+    )
+
+
 def shortest_path(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> Route | None:
     """Latency-minimal route from src to dst, or None when unreachable.
 
     Raises ValueError for src == dst; KeyError for nodes not in the graph.
-    Unreachability is a result, not an error.
+    Unreachability is a result, not an error. Any node may relay,
+    ground stations included.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
     i_src = graph.index_of(src)
     i_dst = graph.index_of(dst)
 
-    offsets, nbrs, wts = graph.csr()
-    n = graph.n_nodes
-    dist = [math.inf] * n
-    done = bytearray(n)
-    dist[i_dst] = 0.0
-    heap = [(0.0, i_dst)]
-    pop, push = heappop, heappush
-    while heap:
-        d, u = pop(heap)
-        if done[u]:
-            continue
-        done[u] = 1
-        if u == i_src:
-            break
-        for k in range(offsets[u], offsets[u + 1]):
-            v = nbrs[k]
-            nd = d + wts[k]
-            if nd < dist[v]:
-                dist[v] = nd
-                push(heap, (nd, v))
-    if not done[i_src]:
-        return None
-
-    # Forward reconstruction. Every stored distance was set by a relaxation
-    # dist[u] = w(u,v) + dist[v], so an eligible neighbor always exists and
-    # distances strictly decrease (weights are positive) until dst. Taking
-    # the smallest eligible node index at each step yields the
-    # lexicographically smallest equal-latency node sequence.
-    path = [i_src]
-    hops: list[float] = []
-    u = i_src
-    while u != i_dst:
-        best_v = None
-        best_w = 0.0
-        du = dist[u]
-        for k in range(offsets[u], offsets[u + 1]):
-            v = nbrs[k]
-            w = wts[k]
-            if du == w + dist[v] and (best_v is None or v < best_v):
-                best_v = v
-                best_w = w
-        if best_v is None:  # pragma: no cover - excluded by the invariant above
-            raise RuntimeError("route reconstruction lost the shortest-path trail")
-        path.append(best_v)
-        hops.append(best_w)
-        u = best_v
-
-    return Route(
-        nodes=tuple(graph.node_ref(i) for i in path),
-        hop_latencies_s=tuple(hops),
-        total_latency_s=math.fsum(hops),
+    lat = link_latencies(graph.edge_dist_km, graph.c_vacuum)
+    csr = directed_graph(
+        graph.n_nodes,
+        np.concatenate([graph.edge_i, graph.edge_j]),
+        np.concatenate([graph.edge_j, graph.edge_i]),
+        np.concatenate([lat, lat]),
     )
+    return trace_route(csr, distances_from(csr, i_dst), i_src, i_dst, graph.node_ref)
 
 
 def enumerate_paths_oracle(

@@ -24,7 +24,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .constellation import Constellation, ConstellationConfig, orbit_radius_km, parse_sat_id
-from .geo import CONSTANTS, GeodeticPoint, geodetic_to_inertial, elevation_angles, segments_clear
+from .geo import (
+    CONSTANTS,
+    GeodeticPoint,
+    elevation_angles,
+    geodetic_to_inertial,
+    require_finite,
+    segments_clear,
+)
 
 
 class LinkClass(enum.Enum):
@@ -80,6 +87,7 @@ class TopologyParams:
     occlusion_check: bool = True
 
     def __post_init__(self):
+        require_finite(self)
         if self.lisl_range_km <= 0:
             raise ValueError("lisl_range_km must be > 0")
         if not 0.0 <= self.min_elevation_deg < 90.0:
@@ -147,7 +155,6 @@ class SnapshotGraph:
         self._dims = dims
         self.c_vacuum = c_vacuum
         self._adjacency: list[list[tuple[int, float]]] | None = None
-        self._csr: tuple[list[int], list[int], list[float]] | None = None
         self._sat_index = sat_index
 
     # -- node bookkeeping ---------------------------------------------------
@@ -194,33 +201,12 @@ class SnapshotGraph:
         """Per-node list of (neighbor index, latency_s), built lazily."""
         if self._adjacency is None:
             adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
-            offsets, nbrs, wts = self.csr()
-            for u in range(self.n_nodes):
-                adj[u] = [(nbrs[k], wts[k]) for k in range(offsets[u], offsets[u + 1])]
+            lat = (self.edge_dist_km * (1000.0 / self.c_vacuum)).tolist()
+            for i, j, w in zip(self.edge_i.tolist(), self.edge_j.tolist(), lat):
+                adj[i].append((j, w))
+                adj[j].append((i, w))
             self._adjacency = adj
         return self._adjacency
-
-    def csr(self) -> tuple[list[int], list[int], list[float]]:
-        """Compressed adjacency (offsets, neighbors, latencies_s).
-
-        Node u's neighbors sit in neighbors[offsets[u]:offsets[u+1]]. This
-        is the routing hot path, so it is assembled with array ops.
-        """
-        if self._csr is None:
-            lat = self.edge_dist_km * (1000.0 / self.c_vacuum)
-            both_u = np.concatenate([self.edge_i, self.edge_j])
-            both_v = np.concatenate([self.edge_j, self.edge_i])
-            both_w = np.concatenate([lat, lat])
-            order = np.argsort(both_u, kind="stable")
-            counts = np.bincount(both_u, minlength=self.n_nodes)
-            offsets = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            self._csr = (
-                offsets.tolist(),
-                both_v[order].tolist(),
-                both_w[order].tolist(),
-            )
-        return self._csr
 
     def _class_of_edge(self, i: int, j: int) -> LinkClass | None:
         if i < self.n_ground or j < self.n_ground:
@@ -317,33 +303,53 @@ class SnapshotGraph:
         )
 
 
-def build_snapshot(
+@dataclass(frozen=True)
+class SlotLinks:
+    """Every link available at one instant, by satellite and station index.
+
+    Laser pairs are (isl_i[k], isl_j[k]) with isl_i < isl_j; uplinks[s]
+    holds the satellites station s sees and their slant ranges.
+    """
+
+    isl_i: np.ndarray
+    isl_j: np.ndarray
+    isl_dist_km: np.ndarray
+    uplinks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def n_uplinks(self) -> int:
+        return sum(len(visible) for visible, _ in self.uplinks)
+
+    def edges(self, n_stations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, dist_km) arrays, each link once with i < j, numbering the
+        stations first and the satellites after them: the n_uplinks
+        station links come first, then the laser links."""
+        i = [np.full(len(visible), s, dtype=np.int32) for s, (visible, _) in enumerate(self.uplinks)]
+        j = [visible + n_stations for visible, _ in self.uplinks]
+        d = [dist for _, dist in self.uplinks]
+        return (np.concatenate(i + [self.isl_i + n_stations]),
+                np.concatenate(j + [self.isl_j + n_stations]),
+                np.concatenate(d + [self.isl_dist_km]))
+
+
+def slot_links(
     constellation: Constellation,
     stations: list[GeodeticPoint],
     t: float,
     params: TopologyParams,
-    slot_index: int = 0,
-) -> SnapshotGraph:
-    """Snapshot of the constellation plus ground stations at time t.
+) -> SlotLinks:
+    """Laser pairs within range and station-satellite links above the mask at t.
 
     Satellite pairs within laser range are found with a KD-tree and
     optionally filtered by Earth occlusion; each station links to every
-    satellite at or above its elevation mask. Isolated nodes are legal.
+    satellite at or above its elevation mask.
     """
     constants = constellation.constants
-    labels = [s.label for s in stations]
-    if len(set(labels)) != len(labels):
-        raise ValueError("ground station labels must be unique")
-    order = sorted(range(len(stations)), key=lambda k: stations[k].label)
-    ground_labels = tuple(stations[k].label for k in order)
-
     sats_xyz = constellation.positions_at(t)
-    n_ground = len(ground_labels)
 
-    # Laser ISLs: range-pruned candidate pairs, then optional occlusion cut.
     # A chord between two points of the shell cannot dip below the Earth
-    # when it is shorter than twice the tangent length, so the filter is
-    # skipped where it provably cannot remove anything.
+    # when it is shorter than twice the tangent length, so the occlusion
+    # filter is skipped where it provably cannot remove anything.
     pairs = cKDTree(sats_xyz).query_pairs(r=params.lisl_range_km, output_type="ndarray")
     shell_r = orbit_radius_km(constellation.cfg, constants)
     always_clear = params.lisl_range_km <= 2.0 * math.sqrt(
@@ -353,45 +359,46 @@ def build_snapshot(
         clear = segments_clear(sats_xyz[pairs[:, 0]], sats_xyz[pairs[:, 1]],
                                constants.earth_radius_km)
         pairs = pairs[clear]
-    if len(pairs):
-        isl_dist = np.linalg.norm(sats_xyz[pairs[:, 0]] - sats_xyz[pairs[:, 1]], axis=1)
-        isl_i = pairs[:, 0].astype(np.int64) + n_ground
-        isl_j = pairs[:, 1].astype(np.int64) + n_ground
-    else:
-        isl_dist = np.empty(0)
-        isl_i = np.empty(0, dtype=np.int64)
-        isl_j = np.empty(0, dtype=np.int64)
+    pairs = pairs.astype(np.int32)
+    isl_dist = np.linalg.norm(sats_xyz[pairs[:, 0]] - sats_xyz[pairs[:, 1]], axis=1)
 
-    # Ground up/down links, gated by the elevation mask.
-    gs_i, gs_j, gs_dist = [], [], []
-    for g_idx, label in enumerate(ground_labels):
-        station = stations[order[g_idx]]
+    uplinks = []
+    for station in stations:
         gs_xyz = geodetic_to_inertial(
             station, t, constants.earth_radius_km, constants.earth_rotation_rate
         )
         elev = elevation_angles(gs_xyz, sats_xyz)
-        visible = np.nonzero(elev >= params.min_elevation_deg)[0]
-        if len(visible):
-            d = np.linalg.norm(sats_xyz[visible] - gs_xyz, axis=1)
-            gs_i.append(np.full(len(visible), g_idx, dtype=np.int64))
-            gs_j.append(visible.astype(np.int64) + n_ground)
-            gs_dist.append(d)
+        visible = np.flatnonzero(elev >= params.min_elevation_deg).astype(np.int32)
+        uplinks.append((visible, np.linalg.norm(sats_xyz[visible] - gs_xyz, axis=1)))
+    return SlotLinks(pairs[:, 0], pairs[:, 1], isl_dist, tuple(uplinks))
 
-    edge_i = np.concatenate([np.concatenate(gs_i), isl_i]) if gs_i else isl_i
-    edge_j = np.concatenate([np.concatenate(gs_j), isl_j]) if gs_j else isl_j
-    edge_d = np.concatenate([np.concatenate(gs_dist), isl_dist]) if gs_dist else isl_dist
 
-    srt = np.lexsort((edge_j, edge_i))
+def build_snapshot(
+    constellation: Constellation,
+    stations: list[GeodeticPoint],
+    t: float,
+    params: TopologyParams,
+    slot_index: int = 0,
+) -> SnapshotGraph:
+    """Snapshot of the constellation plus ground stations at time t.
+
+    The links are those of slot_links; isolated nodes are legal.
+    """
+    labels = [s.label for s in stations]
+    if len(set(labels)) != len(labels):
+        raise ValueError("ground station labels must be unique")
+    ordered = sorted(stations, key=lambda s: s.label)
+    edge_i, edge_j, edge_d = slot_links(constellation, ordered, t, params).edges(len(ordered))
     return SnapshotGraph(
         slot_index=slot_index,
         time_s=t,
-        ground_labels=ground_labels,
+        ground_labels=tuple(s.label for s in ordered),
         sat_ids=constellation.sat_ids,
-        edge_i=edge_i[srt].astype(np.int32),
-        edge_j=edge_j[srt].astype(np.int32),
-        edge_dist_km=edge_d[srt],
+        edge_i=edge_i,
+        edge_j=edge_j,
+        edge_dist_km=edge_d,
         dims=(constellation.cfg.num_planes, constellation.cfg.sats_per_plane),
-        c_vacuum=constants.c_vacuum,
+        c_vacuum=constellation.constants.c_vacuum,
         sat_index=constellation.sat_index,
     )
 

@@ -1,4 +1,6 @@
+import math
 import random
+from heapq import heappop, heappush
 
 import pytest
 
@@ -41,3 +43,40 @@ def random_snapshot(rng: random.Random, max_nodes: int = 10, max_edges: int = 20
         for i, j in possible[:n_edges]
     ]
     return SnapshotGraph.from_edge_list(edges, nodes=nodes)
+
+
+def heap_route(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> tuple[list[str], float] | None:
+    """Reference router: pure-Python heap Dijkstra from dst, then a forward
+    walk taking the smallest eligible next-hop index.
+
+    Returns the route's node labels and its fsum latency in s, or None.
+    This is the router leolat shipped before routing moved onto scipy's
+    Dijkstra; the tests hold the fast kernel to its node sequences.
+    """
+    i_src, i_dst = graph.index_of(src), graph.index_of(dst)
+    adj = graph.adjacency()
+    dist = [math.inf] * graph.n_nodes
+    done = bytearray(graph.n_nodes)
+    dist[i_dst] = 0.0
+    heap = [(0.0, i_dst)]
+    while heap:
+        d, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = 1
+        if u == i_src:
+            break
+        for v, w in adj[u]:
+            if d + w < dist[v]:
+                dist[v] = d + w
+                heappush(heap, (d + w, v))
+    if not done[i_src]:
+        return None
+    path, hops = [i_src], []
+    u = i_src
+    while u != i_dst:
+        v, w = min((v, w) for v, w in adj[u] if dist[u] == w + dist[v])
+        path.append(v)
+        hops.append(w)
+        u = v
+    return [graph.node_ref(i).label for i in path], math.fsum(hops)

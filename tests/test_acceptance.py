@@ -35,7 +35,7 @@ from leolat import (
     great_circle_distance,
     neighbor_census,
     oftn_latency,
-    run_scenario,
+    run_scenarios,
     shortest_path,
 )
 from leolat.constellation import orbital_period_s, position_at
@@ -63,10 +63,10 @@ def _hour_sweep(phase_factor: int, min_elevation_deg: float):
     cfg = ConstellationConfig(phase_factor=phase_factor)
     params = TopologyParams(min_elevation_deg=min_elevation_deg)
     t0 = time.perf_counter()
-    out = {}
-    for scenario in builtin_scenarios():
-        results, summary = run_scenario(scenario, cfg, params, duration_s=3600, slot_s=1)
-        out[scenario.name] = (scenario, results, summary)
+    scenarios = builtin_scenarios()
+    runs = run_scenarios(scenarios, cfg, params, duration_s=3600, slot_s=1)
+    out = {scenario.name: (scenario, results, summary)
+           for scenario, (results, summary) in zip(scenarios, runs)}
     wall = time.perf_counter() - t0
     print(f"3-scenario hour at phase_factor={phase_factor}, "
           f"mask={min_elevation_deg}: {wall:.0f} s wall")

@@ -277,3 +277,35 @@ class TestConfigLoading:
         p.write_text("duration_s: 10\nslot_s: 3\n")
         assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
         assert "divide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "yaml_text,where",
+        [
+            ("scenarios:\n"
+             "  - name: nan\n"
+             "    src: {latitude_deg: 10.0, longitude_deg: .nan, label: a}\n"
+             "    dst: {latitude_deg: 20.0, longitude_deg: 30.0, label: b}\n", "longitude_deg"),
+            ("topology: {lisl_range_km: .nan}\n", "lisl_range_km"),
+            ("constellation: {altitude_km: .inf}\n", "altitude_km"),
+            ("constellation: {epoch: .nan}\n", "epoch"),
+            ("constants: {c_vacuum: .nan}\n", "c_vacuum"),
+            ("duration_s: .inf\n", "finite"),
+        ],
+        ids=["nan-longitude", "nan-lisl-range", "inf-altitude", "nan-epoch", "nan-c-vacuum",
+             "inf-duration"],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, yaml_text, where):
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml_text)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "finite" in err and where in err
+        assert not (tmp_path / "out").exists()
+
+    def test_scalar_format_accepted(self, tmp_path):
+        p = tmp_path / "csv.yaml"
+        p.write_text("formats: csv\nduration_s: 2\n")
+        assert load_config(p).formats == ("csv",)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        assert sorted(x.suffix for x in out.iterdir()) == [".csv"] * 3

@@ -1,19 +1,25 @@
 import math
 
+import networkx as nx
 import pytest
 
+from conftest import heap_route
 from leolat import (
+    Constellation,
     ConstellationConfig,
     GeodeticPoint,
+    NodeRef,
     Scenario,
     TopologyParams,
+    build_snapshot,
     builtin_scenarios,
     compare,
     great_circle_distance,
     oftn_latency,
     run_scenario,
+    run_scenarios,
 )
-from leolat.experiment import chord_bound_ms, summarize
+from leolat.experiment import EXCHANGE_COORDINATES, chord_bound_ms, summarize
 
 
 class TestFiberBaseline:
@@ -171,3 +177,86 @@ def test_summarize_reproduces_reference_baseline_for_builtin_pairs():
         summary = summarize(scenario, [])
         assert summary.oftn_distance_km == pytest.approx(dist, rel=0.0025)
         assert summary.oftn_latency_ms == pytest.approx(ms, rel=0.0025)
+
+
+def exchange_pair(a: str, b: str) -> Scenario:
+    def point(city):
+        lat, lon = EXCHANGE_COORDINATES[city]
+        return GeodeticPoint(lat, lon, city)
+
+    return Scenario(f"{a}-{b}", point(a), point(b))
+
+
+def route_rows(results):
+    return [(r.slot_index, r.latency_ms, r.route.labels() if r.route else None) for r in results]
+
+
+class TestSlotEngine:
+    @pytest.mark.parametrize(
+        "epoch,params",
+        [
+            (0.0, TopologyParams(min_elevation_deg=30.0)),
+            (1234.5, TopologyParams(min_elevation_deg=10.0)),
+            # Past the ~5,410 km occlusion threshold: the Earth cut is live.
+            (4321.0, TopologyParams(lisl_range_km=6000.0, min_elevation_deg=30.0)),
+        ],
+    )
+    def test_routes_equal_per_scenario_snapshot_and_heap_reference(self, epoch, params):
+        cfg = ConstellationConfig(phase_factor=11, epoch=epoch)
+        scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
+        runs = run_scenarios(scenarios, cfg, params, duration_s=40, slot_s=20)
+        constellation = Constellation(cfg)
+        km_per_s = constellation.constants.c_vacuum / 1000.0
+        for scenario, (results, _) in zip(scenarios, runs):
+            src, dst = NodeRef.ground(scenario.src.label), NodeRef.ground(scenario.dst.label)
+            for r in results:
+                graph = build_snapshot(constellation, [scenario.src, scenario.dst],
+                                       (r.slot_index - 1) * 20.0, params)
+                reference = heap_route(graph, src, dst)
+                assert r.route is not None and reference is not None
+                assert (r.route.labels(), r.route.total_latency_s) == reference
+                # networkx as an independent distance oracle
+                g = nx.Graph()
+                g.add_weighted_edges_from(zip(graph.edge_i.tolist(), graph.edge_j.tolist(),
+                                              (graph.edge_dist_km / km_per_s).tolist()))
+                expected = nx.dijkstra_path_length(g, graph.index_of(src), graph.index_of(dst))
+                assert r.route.total_latency_s == pytest.approx(expected, rel=1e-12)
+
+    def test_worker_counts_agree(self, default_cfg):
+        scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
+        one = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=9, workers=1)
+        two = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=9, workers=2)
+        assert [route_rows(r) for r, _ in one] == [route_rows(r) for r, _ in two]
+        assert [s for _, s in one] == [s for _, s in two]
+
+    def test_other_scenarios_stations_never_relay(self, default_cfg):
+        # No laser links, and West and East are too far apart for one
+        # satellite to see both, so West-East is unreachable. Mid sits
+        # between them: a station that could relay would link a satellite
+        # over West to one over East in every slot.
+        params = TopologyParams(lisl_range_km=100.0, min_elevation_deg=30.0)
+        a = Scenario("West-East", GeodeticPoint(45.0, -30.0, "West"),
+                     GeodeticPoint(45.0, -4.0, "East"))
+        b = Scenario("Mid-Far", GeodeticPoint(45.8, -17.0, "Mid"), GeodeticPoint(0.0, 100.0, "Far"))
+        alone, _ = run_scenarios([a], default_cfg, params, duration_s=20, slot_s=2)[0]
+        (together, _), _ = run_scenarios([a, b], default_cfg, params, duration_s=20, slot_s=2)
+        assert route_rows(together) == route_rows(alone)
+        assert all(r.route is None for r in together)
+
+    def test_shared_stations_route_as_if_alone(self, default_cfg):
+        scenarios = [
+            exchange_pair("New York", "Dublin"),
+            exchange_pair("New York", "London"),
+            exchange_pair("London", "New York"),
+            exchange_pair("Dublin", "London"),
+            exchange_pair("Toronto", "New York"),
+        ]
+        params = TopologyParams(min_elevation_deg=30.0)
+        together = run_scenarios(scenarios, default_cfg, params, duration_s=6)
+        for scenario, (results, summary) in zip(scenarios, together):
+            alone, alone_summary = run_scenario(scenario, default_cfg, params, duration_s=6)
+            assert route_rows(results) == route_rows(alone)
+            assert summary == alone_summary
+
+    def test_no_scenarios(self, default_cfg):
+        assert run_scenarios([], default_cfg, TopologyParams(), duration_s=5) == []

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import KM_PER_MS, random_snapshot
+from conftest import KM_PER_MS, heap_route, random_snapshot
 from leolat import (
     NodeRef,
     SnapshotGraph,
@@ -103,6 +105,44 @@ class TestShortestPath:
                     if u == g.index_of(dst):
                         assert route.total_latency_s <= cost + 1e-15
                         break
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Small graphs with integer link lengths, so that many routes tie.
+
+    With c_vacuum = 1000 m/s a 1 km link weighs exactly 1 s and ties are
+    exact; with thirds of a second, or the real c_vacuum, equal-length
+    routes may differ in the last bit, which the kernel must resolve
+    exactly as the reference does.
+    """
+    n = draw(st.integers(2, 12))
+    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    nodes = [NodeRef.ground(f"g{k}") if is_ground else NodeRef.satellite(f"x1{k + 1:02d}01")
+             for k, is_ground in enumerate(kinds)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
+    c_vacuum = draw(st.sampled_from([1000.0, 3000.0, 299_792_458.0]))
+    graph = SnapshotGraph.from_edge_list(
+        [(nodes[i], nodes[j], float(d)) for (i, j), d in zip(chosen, lengths)],
+        nodes=nodes, c_vacuum=c_vacuum,
+    )
+    src, dst = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+    return graph, src, dst
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_graphs())
+def test_kernel_matches_heap_reference_on_tie_heavy_graphs(case):
+    graph, src, dst = case
+    route = shortest_path(graph, src, dst)
+    reference = heap_route(graph, src, dst)
+    if reference is None:
+        assert route is None
+    else:
+        assert route is not None
+        assert (route.labels(), route.total_latency_s) == reference
 
 
 class TestOracle:
