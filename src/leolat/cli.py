@@ -102,7 +102,10 @@ def _from_mapping(cls, mapping: dict, what: str):
 def _parse_point(mapping: dict, what: str) -> GeodeticPoint:
     if not isinstance(mapping, dict):
         raise CliError(f"{what} must be a mapping with latitude_deg/longitude_deg/label")
-    return _from_mapping(GeodeticPoint, mapping, what)
+    point = _from_mapping(GeodeticPoint, mapping, what)
+    if not isinstance(point.label, str) or not point.label:
+        raise CliError(f"{what} label must be a non-empty string, got {point.label!r}")
+    return point
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -160,6 +163,10 @@ def load_config(path: str | Path | None) -> RunConfig:
                 raise CliError(f"scenario #{i + 1} is invalid: {exc}") from exc
         if not parsed:
             raise CliError("scenarios list is empty")
+        by_label: dict[str, GeodeticPoint] = {}
+        for point in (p for sc in parsed for p in (sc.src, sc.dst)):
+            if by_label.setdefault(point.label, point) != point:
+                raise CliError(f"station label {point.label!r} names two different points")
         scenarios = tuple(parsed)
 
     formats = doc.get("formats", base.formats)
@@ -373,7 +380,6 @@ def cmd_export_geojson(cfg: RunConfig, scenario_name: str, slot: int) -> int:
     if route is None:
         raise CliError(f"scenario {scenario.name!r} has no route at slot {slot}")
 
-    sat_index = {sid: k for k, sid in enumerate(constellation.sat_ids)}
     positions = constellation.positions_at(t)
     points_by_label = {
         scenario.src.label: (scenario.src.latitude_deg, scenario.src.longitude_deg, 0.0),
@@ -387,7 +393,8 @@ def cmd_export_geojson(cfg: RunConfig, scenario_name: str, slot: int) -> int:
             props = {"kind": "ground", "label": node.label}
         else:
             glat, glon, r = inertial_to_geodetic(
-                positions[sat_index[node.label]], t, cfg.constants.earth_rotation_rate
+                positions[constellation.sat_index[node.label]], t,
+                cfg.constants.earth_rotation_rate,
             )
             lat, lon, alt_km = glat, glon, r - cfg.constants.earth_radius_km
             props = {"kind": "satellite", "label": node.label, "altitude_km": alt_km}
@@ -479,10 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "export-geojson":
             return cmd_export_geojson(cfg, args.scenario, args.slot)
         raise CliError(f"unhandled command {args.command!r}")  # pragma: no cover
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import CONSTANTS, PhysicalConstants, Vec3, require_finite
+from .geo import CONSTANTS, PhysicalConstants, require_finite
 
 _SAT_ID_RE = re.compile(r"^x1(\d{2})(\d{2})$")
 
@@ -142,25 +142,6 @@ def _propagate(
     y = a * (cos_t * sin_o + sin_t * cos_i * cos_o)
     z = a * (sin_t * sin_i)
     return np.stack([x, y, z], axis=-1)
-
-
-def position_at(
-    sat: SatelliteElement,
-    cfg: ConstellationConfig,
-    t: float,
-    constants: PhysicalConstants = CONSTANTS,
-) -> Vec3:
-    """ECI position at t seconds past epoch, km; |result| = R + altitude."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return _propagate(
-        np.array([sat.raan_rad]),
-        np.array([sat.anomaly0_rad]),
-        t - cfg.epoch,
-        orbit_radius_km(cfg, constants),
-        mean_motion_rad_s(cfg, constants),
-        math.radians(cfg.inclination_deg),
-    )[0]
 
 
 class Constellation:

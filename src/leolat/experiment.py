@@ -265,19 +265,6 @@ def run_scenarios(
             for sc, results in zip(scenarios, per_scenario)]
 
 
-def run_scenario(
-    scenario: Scenario,
-    cfg: ConstellationConfig,
-    params: TopologyParams,
-    duration_s: float = 3600,
-    slot_s: float = 1,
-    workers: int = 1,
-    constants: PhysicalConstants = CONSTANTS,
-) -> tuple[list[SlotResult], ScenarioSummary]:
-    """Per-slot routes and the summary for one scenario; see run_scenarios."""
-    return run_scenarios([scenario], cfg, params, duration_s, slot_s, workers, constants)[0]
-
-
 def chord_bound_ms(
     src: GeodeticPoint, dst: GeodeticPoint, constants: PhysicalConstants = CONSTANTS
 ) -> float:

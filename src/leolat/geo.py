@@ -133,23 +133,14 @@ def inertial_to_geodetic(
     return lat, _normalize_longitude(lon), r
 
 
-def elevation_angle(gs: Vec3, sat: Vec3) -> float:
-    """Angle of the gs->sat ray above the local horizontal plane, degrees.
-
-    gs must lie on the Earth sphere (it defines the local vertical); the
-    satellite must not coincide with the station.
-    """
-    rel = np.asarray(sat, dtype=float) - np.asarray(gs, dtype=float)
-    rel_norm = float(np.linalg.norm(rel))
-    if rel_norm == 0.0:
-        raise ValueError("satellite coincides with ground station")
-    up = np.asarray(gs, dtype=float) / float(np.linalg.norm(gs))
-    s = float(np.dot(up, rel)) / rel_norm
-    return math.degrees(math.asin(max(-1.0, min(1.0, s))))
-
-
 def elevation_angles(gs: Vec3, sats: np.ndarray) -> np.ndarray:
-    """Vectorized elevation_angle for an (N, 3) satellite position array."""
+    """Angle of each gs->sat ray above the local horizontal plane, degrees,
+    for an (N, 3) satellite position array.
+
+    gs must lie on the Earth sphere (it defines the local vertical). A
+    satellite that coincides with the station gets NaN, which compares
+    below every mask, so it is never visible.
+    """
     gs = np.asarray(gs, dtype=float)
     rel = np.asarray(sats, dtype=float) - gs
     rel_norm = np.linalg.norm(rel, axis=1)
@@ -159,27 +150,15 @@ def elevation_angles(gs: Vec3, sats: np.ndarray) -> np.ndarray:
     return np.degrees(np.arcsin(np.clip(s, -1.0, 1.0)))
 
 
-def line_of_sight_clear(
-    a: Vec3, b: Vec3, radius_km: float = CONSTANTS.earth_radius_km
-) -> bool:
-    """True iff segment a-b stays outside the Earth sphere.
+def segments_clear(
+    a: np.ndarray, b: np.ndarray, radius_km: float = CONSTANTS.earth_radius_km
+) -> np.ndarray:
+    """For (N, 3) endpoint arrays, True where segment a-b stays outside
+    the Earth sphere.
 
     Closest-approach test with the parameter clamped to the segment;
     endpoints are assumed on or outside the sphere.
     """
-    return bool(
-        segments_clear(
-            np.asarray(a, dtype=float)[None, :],
-            np.asarray(b, dtype=float)[None, :],
-            radius_km,
-        )[0]
-    )
-
-
-def segments_clear(
-    a: np.ndarray, b: np.ndarray, radius_km: float = CONSTANTS.earth_radius_km
-) -> np.ndarray:
-    """Vectorized line_of_sight_clear over (N, 3) endpoint arrays."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d = b - a

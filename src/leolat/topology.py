@@ -14,16 +14,14 @@ does so in this order.
 
 from __future__ import annotations
 
-import csv
-import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .constellation import Constellation, ConstellationConfig, orbit_radius_km, parse_sat_id
+from .constellation import Constellation, orbit_radius_km
 from .geo import (
     CONSTANTS,
     GeodeticPoint,
@@ -32,13 +30,6 @@ from .geo import (
     require_finite,
     segments_clear,
 )
-
-
-class LinkClass(enum.Enum):
-    INTRA_PLANE = "intra_plane"
-    ADJACENT_PLANE = "adjacent_plane"
-    CROSSING_PLANE = "crossing_plane"
-    GROUND = "ground"
 
 
 @dataclass(frozen=True)
@@ -72,15 +63,6 @@ class NodeRef:
 
 
 @dataclass(frozen=True)
-class Link:
-    a: NodeRef
-    b: NodeRef
-    distance_km: float
-    latency_s: float
-    link_class: LinkClass | None
-
-
-@dataclass(frozen=True)
 class TopologyParams:
     lisl_range_km: float = 1500.0
     min_elevation_deg: float = 10.0
@@ -106,22 +88,11 @@ class NeighborCounts:
         return self.intra_plane + self.adjacent_plane + self.crossing_plane + self.ground
 
 
-def classify_link(a: str, b: str, cfg: ConstellationConfig) -> LinkClass:
-    """Class of a satellite-satellite link from the IDs' plane indices."""
-    if a == b:
-        raise ValueError(f"link endpoints are identical ({a})")
-    plane_a, _ = parse_sat_id(a)
-    plane_b, _ = parse_sat_id(b)
-    return _classify_planes(plane_a, plane_b, cfg.num_planes)
-
-
-def _classify_planes(plane_a: int, plane_b: int, num_planes: int) -> LinkClass:
-    if plane_a == plane_b:
-        return LinkClass.INTRA_PLANE
-    diff = (plane_a - plane_b) % num_planes
-    if diff == 1 or diff == num_planes - 1:
-        return LinkClass.ADJACENT_PLANE
-    return LinkClass.CROSSING_PLANE
+def plane_link_class(plane_i: np.ndarray, plane_j: np.ndarray, num_planes: int) -> np.ndarray:
+    """Class of each laser link from its endpoints' plane indices:
+    0 intra-plane, 1 adjacent-plane (wrapping around), 2 crossing-plane."""
+    diff = (plane_i - plane_j) % num_planes
+    return np.where(diff == 0, 0, np.where((diff == 1) | (diff == num_planes - 1), 1, 2))
 
 
 class SnapshotGraph:
@@ -167,10 +138,6 @@ class SnapshotGraph:
     def n_nodes(self) -> int:
         return len(self.ground_labels) + len(self.sat_ids)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edge_dist_km)
-
     def node_ref(self, idx: int) -> NodeRef:
         if idx < self.n_ground:
             return NodeRef.ground(self.ground_labels[idx])
@@ -194,9 +161,6 @@ class SnapshotGraph:
 
     # -- edges ----------------------------------------------------------------
 
-    def latency_of(self, distance_km: float) -> float:
-        return distance_km * 1000.0 / self.c_vacuum
-
     def adjacency(self) -> list[list[tuple[int, float]]]:
         """Per-node list of (neighbor index, latency_s), built lazily."""
         if self._adjacency is None:
@@ -207,41 +171,6 @@ class SnapshotGraph:
                 adj[j].append((i, w))
             self._adjacency = adj
         return self._adjacency
-
-    def _class_of_edge(self, i: int, j: int) -> LinkClass | None:
-        if i < self.n_ground or j < self.n_ground:
-            return LinkClass.GROUND
-        if self._dims is None:
-            return None
-        _, sats_per_plane = self._dims
-        plane_i = (i - self.n_ground) // sats_per_plane + 1
-        plane_j = (j - self.n_ground) // sats_per_plane + 1
-        return _classify_planes(plane_i, plane_j, self._dims[0])
-
-    def links(self) -> Iterator[Link]:
-        for i, j, d in zip(self.edge_i.tolist(), self.edge_j.tolist(), self.edge_dist_km.tolist()):
-            yield Link(
-                a=self.node_ref(i),
-                b=self.node_ref(j),
-                distance_km=d,
-                latency_s=self.latency_of(d),
-                link_class=self._class_of_edge(i, j),
-            )
-
-    def link_between(self, a: NodeRef, b: NodeRef) -> Link | None:
-        ia, ib = self.index_of(a), self.index_of(b)
-        if ia > ib:
-            ia, ib = ib, ia
-        mask = (self.edge_i == ia) & (self.edge_j == ib)
-        hits = np.nonzero(mask)[0]
-        if len(hits) == 0:
-            return None
-        d = float(self.edge_dist_km[hits[0]])
-        return Link(self.node_ref(ia), self.node_ref(ib), d, self.latency_of(d),
-                    self._class_of_edge(ia, ib))
-
-    def has_edge(self, a: NodeRef, b: NodeRef) -> bool:
-        return self.link_between(a, b) is not None
 
     def edge_set(self) -> set[tuple[str, str]]:
         """Canonical (label_a, label_b) pairs; handy for set comparisons."""
@@ -420,8 +349,7 @@ def neighbor_census(graph: SnapshotGraph) -> dict[str, NeighborCounts]:
     np.add.at(counts, (gsat, 3), 1)
     si = i[~is_ground] - ng
     sj = j[~is_ground] - ng
-    diff = (si // sats_per_plane - sj // sats_per_plane) % num_planes
-    cls = np.where(diff == 0, 0, np.where((diff == 1) | (diff == num_planes - 1), 1, 2))
+    cls = plane_link_class(si // sats_per_plane, sj // sats_per_plane, num_planes)
     np.add.at(counts, (si, cls), 1)
     np.add.at(counts, (sj, cls), 1)
     return {
@@ -429,20 +357,3 @@ def neighbor_census(graph: SnapshotGraph) -> dict[str, NeighborCounts]:
         for sat_id, c in zip(graph.sat_ids, counts)
     }
 
-
-def write_edge_csv(graph: SnapshotGraph, path) -> None:
-    """Diagnostic edge dump: slot, endpoints, class, distance, latency."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["slot", "node_a", "node_b", "class", "distance_km", "latency_ms"])
-        for link in graph.links():
-            w.writerow(
-                [
-                    graph.slot_index,
-                    link.a.label,
-                    link.b.label,
-                    link.link_class.value if link.link_class else "",
-                    f"{link.distance_km:.6f}",
-                    f"{link.latency_s * 1000.0:.4f}",
-                ]
-            )

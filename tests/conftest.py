@@ -2,9 +2,18 @@ import math
 import random
 from heapq import heappop, heappush
 
+import numpy as np
 import pytest
 
-from leolat import Constellation, ConstellationConfig, NodeRef, SnapshotGraph, TopologyParams
+from leolat import (
+    Constellation,
+    ConstellationConfig,
+    NodeRef,
+    SnapshotGraph,
+    TopologyParams,
+    geodetic_to_inertial,
+)
+from leolat.geo import elevation_angles, segments_clear
 
 # Distance that makes one edge weigh exactly 1 ms at the vacuum speed of light.
 KM_PER_MS = 299.792458
@@ -80,3 +89,21 @@ def heap_route(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> tuple[list[s
         hops.append(w)
         u = v
     return [graph.node_ref(i).label for i in path], math.fsum(hops)
+
+
+def brute_force_edge_set(constellation, stations, t, params) -> set[tuple[str, str]]:
+    """All-pairs O(n^2) oracle for the pruned snapshot builder, in the
+    form of SnapshotGraph.edge_set()."""
+    sats = constellation.positions_at(t)
+    ids = constellation.sat_ids
+    edges = set()
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            d = float(np.linalg.norm(sats[i] - sats[j]))
+            if d <= params.lisl_range_km:
+                if not params.occlusion_check or segments_clear(sats[i:i + 1], sats[j:j + 1])[0]:
+                    edges.add(tuple(sorted((ids[i], ids[j]))))
+    for st in stations:
+        elev = elevation_angles(geodetic_to_inertial(st, t), sats)
+        edges.update((st.label, ids[k]) for k in np.flatnonzero(elev >= params.min_elevation_deg))
+    return edges

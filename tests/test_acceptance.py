@@ -24,7 +24,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_snapshot
+from conftest import brute_force_edge_set, random_snapshot
 from leolat import (
     ConstellationConfig,
     TopologyParams,
@@ -38,12 +38,11 @@ from leolat import (
     run_scenarios,
     shortest_path,
 )
-from leolat.constellation import orbital_period_s, position_at
+from leolat.constellation import orbital_period_s
 from leolat.experiment import (
     REPRODUCTION_MIN_ELEVATION_DEG,
     REPRODUCTION_PHASE_FACTOR,
 )
-from test_topology import brute_force_edge_set
 
 # Reference comparison values for the three city pairs (fiber baseline,
 # satellite-network hour average, improvement percent, surface distance).
@@ -211,8 +210,9 @@ def test_criterion_6_orbit_invariants(default_cfg, default_constellation):
     assert period == pytest.approx(5738.6, abs=1.0)
     rng = random.Random(4242)
     for _ in range(200):
-        sat = default_constellation.elements[rng.randrange(1584)]
-        r = float(np.linalg.norm(position_at(sat, default_cfg, rng.uniform(0, 2 * period))))
+        k = rng.randrange(1584)
+        xyz = default_constellation.positions_at(rng.uniform(0, 2 * period))[k]
+        r = float(np.linalg.norm(xyz))
         assert abs(r - 6928.0) < 1e-6
     print(f"criterion 6c: orbit radius constant to 1e-6 km, period {period:.1f} s")
 

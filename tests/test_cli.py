@@ -309,3 +309,29 @@ class TestConfigLoading:
         out = tmp_path / "out"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 0
         assert sorted(x.suffix for x in out.iterdir()) == [".csv"] * 3
+
+    @pytest.mark.parametrize(
+        "src,dst,more",
+        [
+            ("label: 123", "label: b", ""),
+            ("label: yes", "label: b", ""),
+            ("label: a", "", ""),
+            ("label: ''", "label: b", ""),
+            ("label: X", "label: b",
+             "  - name: two\n"
+             "    src: {latitude_deg: 50.0, longitude_deg: 60.0, label: X}\n"
+             "    dst: {latitude_deg: 20.0, longitude_deg: 30.0, label: b}\n"),
+        ],
+        ids=["int-label", "bool-label", "missing-label", "empty-label", "label-names-two-points"],
+    )
+    def test_bad_station_labels_rejected(self, tmp_path, capsys, src, dst, more):
+        p = tmp_path / "bad.yaml"
+        p.write_text(
+            "scenarios:\n"
+            "  - name: one\n"
+            f"    src: {{latitude_deg: 10.0, longitude_deg: 20.0, {src}}}\n"
+            f"    dst: {{latitude_deg: 20.0, longitude_deg: 30.0, {dst}}}\n" + more
+        )
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert "label" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

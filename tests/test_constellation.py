@@ -11,7 +11,6 @@ from leolat import (
     build_constellation,
     format_sat_id,
     parse_sat_id,
-    position_at,
 )
 from leolat.constellation import orbital_period_s
 
@@ -99,58 +98,46 @@ class TestSatId:
 
 
 class TestPropagation:
-    def test_epoch_position_of_reference_satellite(self, default_cfg, default_constellation):
-        sat = default_constellation.elements[0]  # raan 0, anomaly 0
-        assert np.allclose(position_at(sat, default_cfg, 0.0), [A, 0, 0], atol=1e-9)
+    def test_epoch_position_of_reference_satellite(self, default_constellation):
+        # satellite 0 has raan 0 and anomaly 0
+        assert np.allclose(default_constellation.positions_at(0.0)[0], [A, 0, 0], atol=1e-9)
 
     def test_quarter_period_position(self, default_cfg, default_constellation):
-        sat = default_constellation.elements[0]
         period = orbital_period_s(default_cfg)
         assert period == pytest.approx(5738.6, abs=1.0)
         inc = math.radians(53.0)
         expected = [0.0, A * math.cos(inc), A * math.sin(inc)]
-        assert np.allclose(position_at(sat, default_cfg, period / 4.0), expected, atol=0.5)
+        assert np.allclose(default_constellation.positions_at(period / 4.0)[0], expected, atol=0.5)
 
-    def test_speed_by_finite_difference(self, default_cfg, default_constellation):
-        sat = default_constellation.elements[100]
+    def test_speed_by_finite_difference(self, default_constellation):
         t = 1234.5
         dt = 0.5
-        dp = position_at(sat, default_cfg, t + dt) - position_at(sat, default_cfg, t - dt)
+        dp = (default_constellation.positions_at(t + dt)[100]
+              - default_constellation.positions_at(t - dt)[100])
         speed = float(np.linalg.norm(dp)) / (2 * dt)
         assert speed == pytest.approx(7.585, abs=0.01)
 
-    def test_orbit_radius_constant(self, default_cfg, default_constellation):
+    def test_orbit_radius_constant(self, default_constellation):
         rng = random.Random(42)
         for _ in range(100):
-            sat = default_constellation.elements[rng.randrange(1584)]
-            r = float(np.linalg.norm(position_at(sat, default_cfg, rng.uniform(0, 20000))))
+            k = rng.randrange(1584)
+            r = float(np.linalg.norm(default_constellation.positions_at(rng.uniform(0, 20000))[k]))
             assert abs(r - A) < 1e-6
 
     def test_periodicity(self, default_cfg, default_constellation):
         period = orbital_period_s(default_cfg)
-        sat = default_constellation.elements[777]
         for t in (0.0, 100.0, 2500.0):
-            p1 = position_at(sat, default_cfg, t)
-            p2 = position_at(sat, default_cfg, t + period)
+            p1 = default_constellation.positions_at(t)[777]
+            p2 = default_constellation.positions_at(t + period)[777]
             assert np.linalg.norm(p1 - p2) < 1e-5
 
-    def test_intra_plane_spacing_time_invariant(self, default_cfg, default_constellation):
+    def test_intra_plane_spacing_time_invariant(self, default_constellation):
         expected = 2.0 * A * math.sin(math.pi / 66.0)  # one-slot chord
         for t in (0.0, 917.3, 3600.0):
-            a = position_at(default_constellation.elements[10], default_cfg, t)
-            b = position_at(default_constellation.elements[11], default_cfg, t)
+            a, b = default_constellation.positions_at(t)[10:12]
             assert float(np.linalg.norm(a - b)) == pytest.approx(expected, abs=0.1)
 
-    def test_vectorized_matches_scalar(self, default_cfg, default_constellation):
-        t = 4321.0
-        all_pos = default_constellation.positions_at(t)
-        for k in (0, 65, 66, 1583):
-            single = position_at(default_constellation.elements[k], default_cfg, t)
-            assert np.allclose(all_pos[k], single, atol=1e-9)
-
-    def test_negative_time_rejected(self, default_cfg, default_constellation):
-        with pytest.raises(ValueError):
-            position_at(default_constellation.elements[0], default_cfg, -0.5)
+    def test_negative_time_rejected(self, default_constellation):
         with pytest.raises(ValueError):
             default_constellation.positions_at(-1.0)
 

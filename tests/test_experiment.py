@@ -16,7 +16,6 @@ from leolat import (
     compare,
     great_circle_distance,
     oftn_latency,
-    run_scenario,
     run_scenarios,
 )
 from leolat.experiment import EXCHANGE_COORDINATES, chord_bound_ms, summarize
@@ -78,9 +77,9 @@ class TestBuiltinScenarios:
 @pytest.fixture(scope="module")
 def short_run(default_cfg):
     scenario = builtin_scenarios()[0]
-    results, summary = run_scenario(
-        scenario, default_cfg, TopologyParams(), duration_s=30, slot_s=1
-    )
+    results, summary = run_scenarios(
+        [scenario], default_cfg, TopologyParams(), duration_s=30, slot_s=1
+    )[0]
     return scenario, results, summary
 
 
@@ -135,9 +134,9 @@ class TestRunScenario:
         assert stable_pairs > 0
 
     def test_zero_duration(self, default_cfg):
-        results, summary = run_scenario(
-            builtin_scenarios()[0], default_cfg, TopologyParams(), duration_s=0
-        )
+        results, summary = run_scenarios(
+            builtin_scenarios()[:1], default_cfg, TopologyParams(), duration_s=0
+        )[0]
         assert results == []
         assert summary.slots == 0
         assert summary.owsn_avg_latency_ms is None
@@ -145,8 +144,8 @@ class TestRunScenario:
 
     def test_slot_must_divide_duration(self, default_cfg):
         with pytest.raises(ValueError):
-            run_scenario(builtin_scenarios()[0], default_cfg, TopologyParams(),
-                         duration_s=10, slot_s=3)
+            run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(),
+                          duration_s=10, slot_s=3)
 
     def test_fully_unreachable_summary(self):
         # A 2x2 shell leaves hemisphere-sized gaps; stations in opposite
@@ -155,16 +154,17 @@ class TestRunScenario:
         scenario = Scenario(
             "nowhere", GeodeticPoint(-85.0, 10.0, "S85"), GeodeticPoint(85.0, -170.0, "N85")
         )
-        results, summary = run_scenario(
-            scenario, cfg, TopologyParams(min_elevation_deg=60.0), duration_s=5
-        )
+        results, summary = run_scenarios(
+            [scenario], cfg, TopologyParams(min_elevation_deg=60.0), duration_s=5
+        )[0]
         assert summary.unreachable_slots == 5
         assert summary.owsn_avg_latency_ms is None
 
     def test_worker_pool_merges_identically(self, default_cfg):
         scenario = builtin_scenarios()[0]
-        seq, _ = run_scenario(scenario, default_cfg, TopologyParams(), duration_s=8)
-        par, _ = run_scenario(scenario, default_cfg, TopologyParams(), duration_s=8, workers=2)
+        seq, _ = run_scenarios([scenario], default_cfg, TopologyParams(), duration_s=8)[0]
+        par, _ = run_scenarios([scenario], default_cfg, TopologyParams(), duration_s=8,
+                               workers=2)[0]
         assert [r.slot_index for r in par] == [r.slot_index for r in seq]
         assert [r.latency_ms for r in par] == [r.latency_ms for r in seq]
         assert [r.route.labels() for r in par] == [r.route.labels() for r in seq]
@@ -254,7 +254,8 @@ class TestSlotEngine:
         params = TopologyParams(min_elevation_deg=30.0)
         together = run_scenarios(scenarios, default_cfg, params, duration_s=6)
         for scenario, (results, summary) in zip(scenarios, together):
-            alone, alone_summary = run_scenario(scenario, default_cfg, params, duration_s=6)
+            alone, alone_summary = run_scenarios([scenario], default_cfg, params,
+                                                 duration_s=6)[0]
             assert route_rows(results) == route_rows(alone)
             assert summary == alone_summary
 

@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import KM_PER_MS, heap_route, random_snapshot
+import leolat
 from leolat import (
     NodeRef,
     SnapshotGraph,
@@ -187,5 +192,16 @@ class TestRoutesOnConstellation:
             assert route.total_latency_s == pytest.approx(
                 sum(route.hop_latencies_s), rel=1e-12
             )
+            edges = graph.edge_set()
             for x, y in zip(route.nodes, route.nodes[1:]):
-                assert graph.has_edge(x, y)
+                assert (x.label, y.label) in edges or (y.label, x.label) in edges
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    # scipy.sparse.csgraph costs tens of ms to import; commands that never
+    # route must not pay for it, so routing imports it only when it runs.
+    code = "import sys, leolat.cli; sys.exit('scipy.sparse.csgraph' in sys.modules)"
+    src = str(Path(leolat.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "leolat.cli imported scipy.sparse.csgraph"

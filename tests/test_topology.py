@@ -1,46 +1,31 @@
-import csv
 import math
-import random
 
 import numpy as np
 import pytest
 
+from conftest import brute_force_edge_set
 from leolat import (
     CONSTANTS,
     GeodeticPoint,
-    LinkClass,
     NodeRef,
     SnapshotGraph,
     TopologyParams,
     build_snapshot,
-    classify_link,
-    elevation_angle,
     geodetic_to_inertial,
-    line_of_sight_clear,
     neighbor_census,
+    parse_sat_id,
 )
-from leolat.topology import write_edge_csv
+from leolat.geo import elevation_angles
+from leolat.routing import link_latencies
+from leolat.topology import plane_link_class
 
 STATIONS = [GeodeticPoint(40.7, -74.0, "NY"), GeodeticPoint(53.3, -6.3, "Dub")]
 
 
-def brute_force_edge_set(constellation, stations, t, params):
-    """All-pairs O(n^2) oracle for the pruned snapshot builder."""
-    sats = constellation.positions_at(t)
-    ids = constellation.sat_ids
-    edges = set()
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            d = float(np.linalg.norm(sats[i] - sats[j]))
-            if d <= params.lisl_range_km:
-                if not params.occlusion_check or line_of_sight_clear(sats[i], sats[j]):
-                    edges.add(tuple(sorted((ids[i], ids[j]))))
-    for st in sorted(stations, key=lambda s: s.label):
-        gs = geodetic_to_inertial(st, t)
-        for i in range(len(ids)):
-            if elevation_angle(gs, sats[i]) >= params.min_elevation_deg:
-                edges.add((st.label, ids[i]))
-    return edges
+def link_class(a: str, b: str, num_planes: int) -> int:
+    """plane_link_class of the laser link between two satellite IDs."""
+    (plane_a, _), (plane_b, _) = parse_sat_id(a), parse_sat_id(b)
+    return int(plane_link_class(np.array([plane_a]), np.array([plane_b]), num_planes)[0])
 
 
 class TestParams:
@@ -57,17 +42,14 @@ class TestParams:
 
 class TestClassify:
     def test_intra_plane(self, default_cfg):
-        assert classify_link("x10101", "x10102", default_cfg) is LinkClass.INTRA_PLANE
+        assert link_class("x10101", "x10102", default_cfg.num_planes) == 0
 
     def test_adjacent_wraps_around(self, default_cfg):
-        assert classify_link("x10101", "x12454", default_cfg) is LinkClass.ADJACENT_PLANE
+        assert link_class("x10101", "x12454", default_cfg.num_planes) == 1
+        assert link_class("x12454", "x10101", default_cfg.num_planes) == 1
 
     def test_crossing(self, default_cfg):
-        assert classify_link("x10101", "x11325", default_cfg) is LinkClass.CROSSING_PLANE
-
-    def test_identical_rejected(self, default_cfg):
-        with pytest.raises(ValueError):
-            classify_link("x10101", "x10101", default_cfg)
+        assert link_class("x10101", "x11325", default_cfg.num_planes) == 2
 
 
 class TestSnapshot:
@@ -87,11 +69,9 @@ class TestSnapshot:
     def test_link_latency_is_distance_over_c(self):
         a, b = NodeRef.ground("a"), NodeRef.ground("b")
         graph = SnapshotGraph.from_edge_list([(a, b, 1317.1)])
-        link = graph.link_between(a, b)
-        assert link.latency_s * 1000.0 == pytest.approx(4.3934, abs=1e-4)
-        assert link.latency_s * CONSTANTS.c_vacuum / 1000.0 == pytest.approx(
-            link.distance_km, rel=1e-12
-        )
+        (latency_s,) = link_latencies(graph.edge_dist_km, graph.c_vacuum)
+        assert latency_s * 1000.0 == pytest.approx(4.3934, abs=1e-4)
+        assert latency_s * CONSTANTS.c_vacuum / 1000.0 == pytest.approx(1317.1, rel=1e-12)
 
     def test_all_nodes_present_and_ordered(self, default_constellation):
         graph = build_snapshot(default_constellation, STATIONS, 0.0, TopologyParams())
@@ -113,9 +93,9 @@ class TestSnapshot:
     def test_range_law(self, default_constellation):
         params = TopologyParams(lisl_range_km=1500)
         graph = build_snapshot(default_constellation, STATIONS, 1234.0, params)
-        for link in graph.links():
-            if link.link_class is not LinkClass.GROUND:
-                assert link.distance_km <= params.lisl_range_km
+        laser = graph.edge_i >= graph.n_ground
+        assert laser.any()
+        assert (graph.edge_dist_km[laser] <= params.lisl_range_km).all()
 
     def test_edge_set_monotone_in_range(self, default_constellation):
         t = 250.0
@@ -138,29 +118,25 @@ class TestSnapshot:
         t = 42.0
         params = TopologyParams(min_elevation_deg=25.0)
         graph = build_snapshot(default_constellation, STATIONS, t, params)
+        wide = build_snapshot(default_constellation, STATIONS, t,
+                              TopologyParams(min_elevation_deg=0.0))
         sats = default_constellation.positions_at(t)
         for st in STATIONS:
-            gs = geodetic_to_inertial(st, t)
-            linked = {
-                (link.a.label if link.b.label == st.label else link.b.label)
-                for link in graph.links()
-                if link.link_class is LinkClass.GROUND and st.label in (link.a.label, link.b.label)
-            }
-            for sat_id in linked:
-                e = elevation_angle(gs, sats[default_constellation.sat_index[sat_id]])
-                assert e >= params.min_elevation_deg
-            # raising the mask keeps the visible set strictly smaller or equal
-            wide = build_snapshot(default_constellation, STATIONS, t,
-                                  TopologyParams(min_elevation_deg=0.0))
-            assert len(linked) <= sum(
-                1 for l in wide.links()
-                if l.link_class is LinkClass.GROUND and st.label in (l.a.label, l.b.label)
-            )
+            k = graph.index_of(NodeRef.ground(st.label))
+            linked = graph.edge_j[graph.edge_i == k] - graph.n_ground
+            elev = elevation_angles(geodetic_to_inertial(st, t), sats)
+            assert sorted(linked) == np.flatnonzero(elev >= params.min_elevation_deg).tolist()
+            # raising the mask keeps the visible set smaller or equal
+            assert len(linked) <= np.count_nonzero(wide.edge_i == k)
 
     def test_no_ground_to_ground_edges(self, default_constellation):
         graph = build_snapshot(default_constellation, STATIONS, 10.0, TopologyParams())
-        for link in graph.links():
-            assert not (link.a.is_ground and link.b.is_ground)
+        # Each edge is stored once with edge_i < edge_j, so a ground link
+        # has its station at edge_i and a satellite at edge_j.
+        assert (graph.edge_i < graph.edge_j).all()
+        ground = graph.edge_i < graph.n_ground
+        assert ground.any()
+        assert (graph.edge_j[ground] >= graph.n_ground).all()
 
     def test_duplicate_station_labels_rejected(self, default_constellation):
         with pytest.raises(ValueError):
@@ -212,17 +188,3 @@ class TestFromEdgeList:
         assert graph.n_nodes == 3
         assert graph.adjacency()[graph.index_of(c)] == []
 
-
-def test_edge_csv_export(tmp_path, small_constellation):
-    graph = build_snapshot(small_constellation, STATIONS, 77.0,
-                           TopologyParams(lisl_range_km=4000), slot_index=9)
-    path = tmp_path / "edges.csv"
-    write_edge_csv(graph, path)
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["slot", "node_a", "node_b", "class", "distance_km", "latency_ms"]
-    assert len(rows) - 1 == graph.n_edges
-    slot, a, b, cls, dist, lat_ms = rows[1]
-    assert slot == "9"
-    assert cls in {c.value for c in LinkClass}
-    assert float(lat_ms) == pytest.approx(float(dist) / 299792.458 * 1000.0, abs=1e-4)
