@@ -13,8 +13,6 @@ from .geo import (
 from .constellation import (
     Constellation,
     ConstellationConfig,
-    build_constellation,
-    format_sat_id,
     parse_sat_id,
 )
 from .topology import (
@@ -24,14 +22,13 @@ from .topology import (
     build_snapshot,
     neighbor_census,
 )
-from .routing import Route, enumerate_paths_oracle, shortest_path
+from .routing import Route, shortest_path
 from .experiment import (
     Scenario,
     ScenarioSummary,
     SlotResult,
     builtin_scenarios,
     chord_bound_ms,
-    compare,
     oftn_latency,
     run_scenarios,
 )
@@ -49,13 +46,9 @@ __all__ = [
     "SlotResult",
     "SnapshotGraph",
     "TopologyParams",
-    "build_constellation",
     "build_snapshot",
     "builtin_scenarios",
     "chord_bound_ms",
-    "compare",
-    "enumerate_paths_oracle",
-    "format_sat_id",
     "geodetic_to_inertial",
     "great_circle_distance",
     "inertial_to_geodetic",

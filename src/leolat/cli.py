@@ -21,26 +21,26 @@ import logging
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from . import __version__
-from .constellation import Constellation, ConstellationConfig
+from .constellation import ConstellationConfig
 from .experiment import (
     REPRODUCTION_MIN_ELEVATION_DEG,
     REPRODUCTION_PHASE_FACTOR,
     Scenario,
     SlotResult,
+    _SlotEngine,
     builtin_scenarios,
     oftn_latency,
     run_scenarios,
     slot_count,
 )
 from .geo import CONSTANTS, GeodeticPoint, PhysicalConstants, great_circle_distance, inertial_to_geodetic
-from .routing import shortest_path
-from .topology import NodeRef, TopologyParams, build_snapshot
+from .topology import TopologyParams
 
 log = logging.getLogger("leolat")
 
@@ -92,7 +92,7 @@ def _from_mapping(cls, mapping: dict, what: str):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(mapping) - fields
     if unknown:
-        raise CliError(f"unknown {what} keys: {sorted(unknown)}")
+        raise CliError(f"unknown {what} keys: {sorted(unknown, key=str)}")
     try:
         return cls(**mapping)
     except (TypeError, ValueError) as exc:
@@ -127,28 +127,29 @@ def load_config(path: str | Path | None) -> RunConfig:
              "duration_s", "slot_s", "out_dir", "formats"}
     unknown = set(doc) - known
     if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
+        raise CliError(f"unknown config keys: {sorted(unknown, key=str)}")
 
     # A section that is present merges over the plain type defaults; the
     # calibrated reproduction values apply only to omitted sections, so a
     # custom shell never inherits a phasing calibrated for a different one.
     base = default_run_config()
-    constellation = base.constellation
-    if "constellation" in doc:
-        merged = dataclasses.asdict(ConstellationConfig()) | (doc["constellation"] or {})
-        constellation = _from_mapping(ConstellationConfig, merged, "constellation")
-    topology = base.topology
-    if "topology" in doc:
-        merged = dataclasses.asdict(TopologyParams()) | (doc["topology"] or {})
-        topology = _from_mapping(TopologyParams, merged, "topology")
-    constants = base.constants
-    if "constants" in doc:
-        merged = dataclasses.asdict(PhysicalConstants()) | (doc["constants"] or {})
-        constants = _from_mapping(PhysicalConstants, merged, "constants")
+    sections = {}
+    for key, cls in (("constellation", ConstellationConfig), ("topology", TopologyParams),
+                     ("constants", PhysicalConstants)):
+        if key not in doc:
+            sections[key] = getattr(base, key)
+            continue
+        section = {} if doc[key] is None else doc[key]
+        if not isinstance(section, dict):
+            raise CliError(f"config section {key} must be a mapping, got {section!r}")
+        sections[key] = _from_mapping(cls, dataclasses.asdict(cls()) | section, key)
     scenarios = base.scenarios
     if "scenarios" in doc:
+        entries = doc["scenarios"]
+        if not isinstance(entries, list) or not entries:
+            raise CliError(f"scenarios must be a non-empty list, got {entries!r}")
         parsed = []
-        for i, sc in enumerate(doc["scenarios"] or []):
+        for i, sc in enumerate(entries):
             if not isinstance(sc, dict) or set(sc) - {"name", "src", "dst"}:
                 raise CliError(f"scenario #{i + 1} must have keys name/src/dst")
             try:
@@ -161,24 +162,23 @@ def load_config(path: str | Path | None) -> RunConfig:
                 )
             except (KeyError, ValueError) as exc:
                 raise CliError(f"scenario #{i + 1} is invalid: {exc}") from exc
-        if not parsed:
-            raise CliError("scenarios list is empty")
         by_label: dict[str, GeodeticPoint] = {}
         for point in (p for sc in parsed for p in (sc.src, sc.dst)):
             if by_label.setdefault(point.label, point) != point:
                 raise CliError(f"station label {point.label!r} names two different points")
         scenarios = tuple(parsed)
 
+    out_dir = doc.get("out_dir", base.out_dir)
+    if not isinstance(out_dir, str) or not out_dir:
+        raise CliError(f"out_dir must be a non-empty string, got {out_dir!r}")
     formats = doc.get("formats", base.formats)
     try:
         return RunConfig(
-            constellation=constellation,
-            topology=topology,
-            constants=constants,
+            **sections,
             scenarios=scenarios,
             duration_s=doc.get("duration_s", base.duration_s),
             slot_s=doc.get("slot_s", base.slot_s),
-            out_dir=str(doc.get("out_dir", base.out_dir)),
+            out_dir=out_dir,
             formats=(formats,) if isinstance(formats, str) else tuple(formats),
         )
     except (TypeError, ValueError) as exc:
@@ -372,14 +372,12 @@ def cmd_export_geojson(cfg: RunConfig, scenario_name: str, slot: int) -> int:
     scenario = matches[0]
     t = (slot - 1) * cfg.slot_s
 
-    constellation = Constellation(cfg.constellation, cfg.constants)
-    graph = build_snapshot(constellation, [scenario.src, scenario.dst], t,
-                           cfg.topology, slot_index=slot)
-    route = shortest_path(graph, NodeRef.ground(scenario.src.label),
-                          NodeRef.ground(scenario.dst.label))
+    engine = _SlotEngine(cfg.constellation, cfg.topology, [scenario], cfg.constants)
+    (route,) = engine.route_slot(t)
     if route is None:
         raise CliError(f"scenario {scenario.name!r} has no route at slot {slot}")
 
+    constellation = engine.constellation
     positions = constellation.positions_at(t)
     points_by_label = {
         scenario.src.label: (scenario.src.latitude_deg, scenario.src.longitude_deg, 0.0),

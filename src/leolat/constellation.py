@@ -34,9 +34,15 @@ class ConstellationConfig:
     epoch: float = 0.0          # reference time, s; t is measured from it
 
     def __post_init__(self):
+        for name in ("num_planes", "sats_per_plane", "phase_factor"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         require_finite(self)
         if self.num_planes < 1 or self.sats_per_plane < 1:
             raise ValueError("num_planes and sats_per_plane must be >= 1")
+        if self.num_planes > 99 or self.sats_per_plane > 99:
+            raise ValueError("two-digit ID scheme cannot encode planes/slots beyond 99")
         if self.altitude_km <= 0:
             raise ValueError("altitude_km must be > 0")
         if not 0.0 <= self.inclination_deg <= 180.0:
@@ -62,17 +68,6 @@ class ConstellationConfig:
         return self.phase_factor * 360.0 / (self.num_planes * self.sats_per_plane)
 
 
-@dataclass(frozen=True)
-class SatelliteElement:
-    """One satellite's grid indices, epoch angles, and canonical ID."""
-
-    plane_index: int    # 1-based
-    slot_index: int     # 1-based within plane
-    raan_rad: float
-    anomaly0_rad: float  # argument of latitude at epoch
-    sat_id: str
-
-
 def format_sat_id(plane: int, slot: int) -> str:
     """Canonical ID "x1" + two-digit plane + two-digit slot, e.g. x10101."""
     if not 1 <= plane <= 99 or not 1 <= slot <= 99:
@@ -89,27 +84,6 @@ def parse_sat_id(sat_id: str) -> tuple[int, int]:
     if plane == 0 or slot == 0:
         raise ValueError(f"satellite ID {sat_id!r} has out-of-range plane/slot")
     return plane, slot
-
-
-def build_constellation(cfg: ConstellationConfig) -> list[SatelliteElement]:
-    """Generate the full shell, plane-major then slot order, IDs unique."""
-    if cfg.num_planes > 99 or cfg.sats_per_plane > 99:
-        raise ValueError("two-digit ID scheme cannot encode planes/slots beyond 99")
-    elements = []
-    for p in range(1, cfg.num_planes + 1):
-        raan_deg = (cfg.raan0_deg + (p - 1) * cfg.raan_spacing_deg) % 360.0
-        for s in range(1, cfg.sats_per_plane + 1):
-            anom_deg = ((s - 1) * cfg.anomaly_spacing_deg + (p - 1) * cfg.phase_offset_deg) % 360.0
-            elements.append(
-                SatelliteElement(
-                    plane_index=p,
-                    slot_index=s,
-                    raan_rad=math.radians(raan_deg),
-                    anomaly0_rad=math.radians(anom_deg),
-                    sat_id=format_sat_id(p, s),
-                )
-            )
-    return elements
 
 
 def orbit_radius_km(cfg: ConstellationConfig, constants: PhysicalConstants = CONSTANTS) -> float:
@@ -150,17 +124,23 @@ class Constellation:
     def __init__(self, cfg: ConstellationConfig, constants: PhysicalConstants = CONSTANTS):
         self.cfg = cfg
         self.constants = constants
-        self.elements = build_constellation(cfg)
-        self.sat_ids = tuple(e.sat_id for e in self.elements)
+        planes = np.arange(cfg.num_planes)  # 0-based plane and slot indices
+        slots = np.arange(cfg.sats_per_plane)
+        raan_deg = (cfg.raan0_deg + planes * cfg.raan_spacing_deg) % 360.0
+        anom_deg = (slots[None, :] * cfg.anomaly_spacing_deg
+                    + planes[:, None] * cfg.phase_offset_deg) % 360.0
+        # Plane-major then slot order, as the satellite IDs.
+        self._raan = np.repeat(np.radians(raan_deg), cfg.sats_per_plane)
+        self._anom0 = np.radians(anom_deg).ravel()
+        self.sat_ids = tuple(format_sat_id(p, s) for p in range(1, cfg.num_planes + 1)
+                             for s in range(1, cfg.sats_per_plane + 1))
         self.sat_index = {sid: k for k, sid in enumerate(self.sat_ids)}
-        self._raan = np.array([e.raan_rad for e in self.elements])
-        self._anom0 = np.array([e.anomaly0_rad for e in self.elements])
         self._a = orbit_radius_km(cfg, constants)
         self._n = mean_motion_rad_s(cfg, constants)
         self._inc = math.radians(cfg.inclination_deg)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.sat_ids)
 
     def positions_at(self, t: float) -> np.ndarray:
         """(N, 3) ECI positions of every satellite at t seconds past epoch."""

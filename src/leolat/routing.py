@@ -148,39 +148,3 @@ def shortest_path(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> Route | N
     )
     return trace_route(csr, distances_from(csr, i_dst), i_src, i_dst, graph.node_ref)
 
-
-def enumerate_paths_oracle(
-    graph: SnapshotGraph, src: NodeRef, dst: NodeRef, max_nodes: int = 12
-) -> float | None:
-    """Exact minimum latency by exhaustive DFS over simple paths.
-
-    Test oracle only; refuses graphs larger than max_nodes (capped at 12)
-    because the path count grows factorially.
-    """
-    if max_nodes > 12:
-        raise ValueError("max_nodes is capped at 12")
-    if graph.n_nodes > max_nodes:
-        raise ValueError(f"graph has {graph.n_nodes} nodes, oracle cap is {max_nodes}")
-    if src == dst:
-        raise ValueError("src and dst must differ")
-    i_src = graph.index_of(src)
-    i_dst = graph.index_of(dst)
-    adj = graph.adjacency()
-
-    best: float | None = None
-    on_path = bytearray(graph.n_nodes)
-
-    def dfs(u: int, acc: float) -> None:
-        nonlocal best
-        if u == i_dst:
-            if best is None or acc < best:
-                best = acc
-            return
-        on_path[u] = 1
-        for v, w in adj[u]:
-            if not on_path[v]:
-                dfs(v, acc + w)
-        on_path[u] = 0
-
-    dfs(i_src, 0.0)
-    return best

@@ -1,11 +1,15 @@
-"""Per-time-slot snapshot graphs: laser ISLs plus ground up/down links.
+"""Per-time-slot links: laser ISLs plus ground up/down links.
 
-A snapshot is an undirected weighted graph over every satellite and every
-ground station at one instant. Satellite-satellite edges exist iff the
-Euclidean separation is within the configured laser link range (optionally
-also requiring a clear line of sight past the Earth); station-satellite
-edges exist iff the satellite is above the station's elevation mask. Edge
-weights are propagation latencies at the vacuum speed of light.
+slot_links finds every link available at one instant. Satellite pairs are
+linked iff their Euclidean separation is within the configured laser link
+range (optionally also requiring a clear line of sight past the Earth); a
+station links to a satellite iff the satellite is above the station's
+elevation mask. The slot engine routes every CLI command on these arrays.
+
+build_snapshot turns the same links into a SnapshotGraph: an undirected
+graph over the stations and satellites of one slot, weighted by latency at
+the vacuum speed of light. It is the reference graph that the benchmark's
+output check and the tests route on with routing.shortest_path.
 
 Node ordering is total and deterministic: ground stations first (by
 label), then satellites (by ID). Everything downstream that breaks ties
@@ -16,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .constellation import Constellation, orbit_radius_km
+from .constellation import Constellation, ConstellationConfig, orbit_radius_km
 from .geo import (
     CONSTANTS,
     GeodeticPoint,
@@ -76,18 +79,6 @@ class TopologyParams:
             raise ValueError("min_elevation_deg must be in [0, 90)")
 
 
-@dataclass(frozen=True)
-class NeighborCounts:
-    intra_plane: int = 0
-    adjacent_plane: int = 0
-    crossing_plane: int = 0
-    ground: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.intra_plane + self.adjacent_plane + self.crossing_plane + self.ground
-
-
 def plane_link_class(plane_i: np.ndarray, plane_j: np.ndarray, num_planes: int) -> np.ndarray:
     """Class of each laser link from its endpoints' plane indices:
     0 intra-plane, 1 adjacent-plane (wrapping around), 2 crossing-plane."""
@@ -98,9 +89,8 @@ def plane_link_class(plane_i: np.ndarray, plane_j: np.ndarray, num_planes: int) 
 class SnapshotGraph:
     """Immutable weighted graph of one time slot.
 
-    Nodes are indexed 0..n-1 in NodeRef order; edges are stored once with
-    index_a < index_b and are reachable symmetrically through the
-    adjacency lists.
+    Nodes are indexed 0..n-1 in NodeRef order; each undirected edge is
+    stored once with edge_i < edge_j.
     """
 
     def __init__(
@@ -112,7 +102,6 @@ class SnapshotGraph:
         edge_i: np.ndarray,
         edge_j: np.ndarray,
         edge_dist_km: np.ndarray,
-        dims: tuple[int, int] | None = None,
         c_vacuum: float = CONSTANTS.c_vacuum,
         sat_index: dict[str, int] | None = None,
     ):
@@ -123,12 +112,8 @@ class SnapshotGraph:
         self.edge_i = edge_i
         self.edge_j = edge_j
         self.edge_dist_km = edge_dist_km
-        self._dims = dims
         self.c_vacuum = c_vacuum
-        self._adjacency: list[list[tuple[int, float]]] | None = None
         self._sat_index = sat_index
-
-    # -- node bookkeeping ---------------------------------------------------
 
     @property
     def n_ground(self) -> int:
@@ -143,9 +128,6 @@ class SnapshotGraph:
             return NodeRef.ground(self.ground_labels[idx])
         return NodeRef.satellite(self.sat_ids[idx - self.n_ground])
 
-    def nodes(self) -> list[NodeRef]:
-        return [self.node_ref(i) for i in range(self.n_nodes)]
-
     def index_of(self, node: NodeRef) -> int:
         if node.is_ground:
             try:
@@ -158,78 +140,6 @@ class SnapshotGraph:
             return self.n_ground + self._sat_index[node.label]
         except KeyError:
             raise KeyError(f"node {node.label!r} not in snapshot") from None
-
-    # -- edges ----------------------------------------------------------------
-
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Per-node list of (neighbor index, latency_s), built lazily."""
-        if self._adjacency is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
-            lat = (self.edge_dist_km * (1000.0 / self.c_vacuum)).tolist()
-            for i, j, w in zip(self.edge_i.tolist(), self.edge_j.tolist(), lat):
-                adj[i].append((j, w))
-                adj[j].append((i, w))
-            self._adjacency = adj
-        return self._adjacency
-
-    def edge_set(self) -> set[tuple[str, str]]:
-        """Canonical (label_a, label_b) pairs; handy for set comparisons."""
-        out = set()
-        for i, j in zip(self.edge_i.tolist(), self.edge_j.tolist()):
-            out.add((self.node_ref(i).label, self.node_ref(j).label))
-        return out
-
-    @classmethod
-    def from_edge_list(
-        cls,
-        edges: Iterable[tuple[NodeRef, NodeRef, float]],
-        nodes: Iterable[NodeRef] = (),
-        slot_index: int = 0,
-        time_s: float = 0.0,
-        c_vacuum: float = CONSTANTS.c_vacuum,
-    ) -> "SnapshotGraph":
-        """Build a snapshot from explicit (a, b, distance_km) triples.
-
-        Intended for small synthetic graphs in tests and tools; node set is
-        the union of endpoints and the optional extra ``nodes``.
-        """
-        edges = list(edges)
-        all_nodes = set(nodes)
-        for a, b, _ in edges:
-            all_nodes.add(a)
-            all_nodes.add(b)
-        ordered = sorted(all_nodes, key=NodeRef.sort_key)
-        ground_labels = tuple(n.label for n in ordered if n.is_ground)
-        sat_ids = tuple(n.label for n in ordered if not n.is_ground)
-        index = {n: k for k, n in enumerate(ordered)}
-        seen = set()
-        ei, ej, dist = [], [], []
-        for a, b, d in edges:
-            if a == b:
-                raise ValueError(f"self-loop on {a.label!r}")
-            if d <= 0:
-                raise ValueError("edge distance must be > 0")
-            i, j = index[a], index[b]
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge {a.label!r}-{b.label!r}")
-            seen.add((i, j))
-            ei.append(i)
-            ej.append(j)
-            dist.append(d)
-        order = np.lexsort((np.array(ej, dtype=np.int32), np.array(ei, dtype=np.int32)))
-        return cls(
-            slot_index,
-            time_s,
-            ground_labels,
-            sat_ids,
-            np.array(ei, dtype=np.int32)[order],
-            np.array(ej, dtype=np.int32)[order],
-            np.array(dist, dtype=float)[order],
-            dims=None,
-            c_vacuum=c_vacuum,
-        )
 
 
 @dataclass(frozen=True)
@@ -326,34 +236,20 @@ def build_snapshot(
         edge_i=edge_i,
         edge_j=edge_j,
         edge_dist_km=edge_d,
-        dims=(constellation.cfg.num_planes, constellation.cfg.sats_per_plane),
         c_vacuum=constellation.constants.c_vacuum,
         sat_index=constellation.sat_index,
     )
 
 
-def neighbor_census(graph: SnapshotGraph) -> dict[str, NeighborCounts]:
-    """Per-satellite link counts by class; class sums equal node degree."""
-    n_sats = len(graph.sat_ids)
-    if n_sats == 0:
-        return {}
-    if graph._dims is None:
-        raise ValueError("census requires a snapshot built from a constellation")
-    counts = np.zeros((n_sats, 4), dtype=np.int64)  # intra, adjacent, crossing, ground
-    num_planes, sats_per_plane = graph._dims
-    ng = graph.n_ground
-    i = graph.edge_i.astype(np.int64)
-    j = graph.edge_j.astype(np.int64)
-    is_ground = i < ng  # edge_i < edge_j, so only i can be a ground node
-    gsat = j[is_ground] - ng
-    np.add.at(counts, (gsat, 3), 1)
-    si = i[~is_ground] - ng
-    sj = j[~is_ground] - ng
-    cls = plane_link_class(si // sats_per_plane, sj // sats_per_plane, num_planes)
-    np.add.at(counts, (si, cls), 1)
-    np.add.at(counts, (sj, cls), 1)
-    return {
-        sat_id: NeighborCounts(int(c[0]), int(c[1]), int(c[2]), int(c[3]))
-        for sat_id, c in zip(graph.sat_ids, counts)
-    }
-
+def neighbor_census(links: SlotLinks, cfg: ConstellationConfig) -> np.ndarray:
+    """(n_sats, 4) link counts per satellite, in columns intra-plane,
+    adjacent-plane, crossing-plane and ground; each row sums to the
+    satellite's degree."""
+    counts = np.zeros((cfg.total_sats, 4), dtype=np.int64)
+    cls = plane_link_class(links.isl_i // cfg.sats_per_plane, links.isl_j // cfg.sats_per_plane,
+                           cfg.num_planes)
+    np.add.at(counts, (links.isl_i, cls), 1)
+    np.add.at(counts, (links.isl_j, cls), 1)
+    for visible, _ in links.uplinks:
+        counts[visible, 3] += 1
+    return counts

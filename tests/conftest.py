@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from leolat import (
+    CONSTANTS,
     Constellation,
     ConstellationConfig,
     NodeRef,
@@ -40,6 +41,101 @@ def default_params():
     return TopologyParams()
 
 
+def snapshot_from_edges(edges, nodes=(), c_vacuum: float = CONSTANTS.c_vacuum) -> SnapshotGraph:
+    """SnapshotGraph from explicit (a, b, distance_km) triples of NodeRefs.
+
+    For small synthetic graphs: the node set is the union of the endpoints
+    and the optional extra nodes; self-loops, duplicate edges and
+    non-positive distances are rejected.
+    """
+    edges = list(edges)
+    ordered = sorted(set(nodes) | {n for a, b, _ in edges for n in (a, b)}, key=NodeRef.sort_key)
+    index = {n: k for k, n in enumerate(ordered)}
+    seen = set()
+    ei, ej, dist = [], [], []
+    for a, b, d in edges:
+        if a == b:
+            raise ValueError(f"self-loop on {a.label!r}")
+        if d <= 0:
+            raise ValueError("edge distance must be > 0")
+        i, j = sorted((index[a], index[b]))
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge {a.label!r}-{b.label!r}")
+        seen.add((i, j))
+        ei.append(i)
+        ej.append(j)
+        dist.append(d)
+    ei, ej = np.array(ei, dtype=np.int32), np.array(ej, dtype=np.int32)
+    order = np.lexsort((ej, ei))
+    return SnapshotGraph(
+        slot_index=0,
+        time_s=0.0,
+        ground_labels=tuple(n.label for n in ordered if n.is_ground),
+        sat_ids=tuple(n.label for n in ordered if not n.is_ground),
+        edge_i=ei[order],
+        edge_j=ej[order],
+        edge_dist_km=np.array(dist, dtype=float)[order],
+        c_vacuum=c_vacuum,
+    )
+
+
+def node_refs(graph: SnapshotGraph) -> list[NodeRef]:
+    return [graph.node_ref(i) for i in range(graph.n_nodes)]
+
+
+def adjacency(graph: SnapshotGraph) -> list[list[tuple[int, float]]]:
+    """Per-node list of (neighbor index, latency_s), both directions."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(graph.n_nodes)]
+    lat = (graph.edge_dist_km * (1000.0 / graph.c_vacuum)).tolist()
+    for i, j, w in zip(graph.edge_i.tolist(), graph.edge_j.tolist(), lat):
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    return adj
+
+
+def edge_set(graph: SnapshotGraph) -> set[tuple[str, str]]:
+    """The graph's edges as (label_a, label_b) pairs, one per edge."""
+    return {(graph.node_ref(i).label, graph.node_ref(j).label)
+            for i, j in zip(graph.edge_i.tolist(), graph.edge_j.tolist())}
+
+
+def enumerate_paths_oracle(
+    graph: SnapshotGraph, src: NodeRef, dst: NodeRef, max_nodes: int = 12
+) -> float | None:
+    """Exact minimum latency by exhaustive DFS over simple paths.
+
+    Refuses graphs larger than max_nodes (capped at 12) because the path
+    count grows factorially.
+    """
+    if max_nodes > 12:
+        raise ValueError("max_nodes is capped at 12")
+    if graph.n_nodes > max_nodes:
+        raise ValueError(f"graph has {graph.n_nodes} nodes, oracle cap is {max_nodes}")
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    i_src = graph.index_of(src)
+    i_dst = graph.index_of(dst)
+    adj = adjacency(graph)
+
+    best: float | None = None
+    on_path = bytearray(graph.n_nodes)
+
+    def dfs(u: int, acc: float) -> None:
+        nonlocal best
+        if u == i_dst:
+            if best is None or acc < best:
+                best = acc
+            return
+        on_path[u] = 1
+        for v, w in adj[u]:
+            if not on_path[v]:
+                dfs(v, acc + w)
+        on_path[u] = 0
+
+    dfs(i_src, 0.0)
+    return best
+
+
 def random_snapshot(rng: random.Random, max_nodes: int = 10, max_edges: int = 20) -> SnapshotGraph:
     """Random connected-or-not weighted graph for routing cross-checks."""
     n = rng.randint(2, max_nodes)
@@ -51,7 +147,7 @@ def random_snapshot(rng: random.Random, max_nodes: int = 10, max_edges: int = 20
         (nodes[i], nodes[j], rng.uniform(0.1, 2000.0))
         for i, j in possible[:n_edges]
     ]
-    return SnapshotGraph.from_edge_list(edges, nodes=nodes)
+    return snapshot_from_edges(edges, nodes=nodes)
 
 
 def heap_route(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> tuple[list[str], float] | None:
@@ -63,7 +159,7 @@ def heap_route(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> tuple[list[s
     Dijkstra; the tests hold the fast kernel to its node sequences.
     """
     i_src, i_dst = graph.index_of(src), graph.index_of(dst)
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     dist = [math.inf] * graph.n_nodes
     done = bytearray(graph.n_nodes)
     dist[i_dst] = 0.0
@@ -93,7 +189,7 @@ def heap_route(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> tuple[list[s
 
 def brute_force_edge_set(constellation, stations, t, params) -> set[tuple[str, str]]:
     """All-pairs O(n^2) oracle for the pruned snapshot builder, in the
-    form of SnapshotGraph.edge_set()."""
+    form of edge_set()."""
     sats = constellation.positions_at(t)
     ids = constellation.sat_ids
     edges = set()

@@ -24,14 +24,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import brute_force_edge_set, random_snapshot
+from conftest import (
+    brute_force_edge_set,
+    edge_set,
+    enumerate_paths_oracle,
+    node_refs,
+    random_snapshot,
+)
 from leolat import (
     ConstellationConfig,
     TopologyParams,
     build_snapshot,
     builtin_scenarios,
     chord_bound_ms,
-    enumerate_paths_oracle,
     great_circle_distance,
     neighbor_census,
     oftn_latency,
@@ -39,6 +44,7 @@ from leolat import (
     shortest_path,
 )
 from leolat.constellation import orbital_period_s
+from leolat.topology import slot_links
 from leolat.experiment import (
     REPRODUCTION_MIN_ELEVATION_DEG,
     REPRODUCTION_PHASE_FACTOR,
@@ -183,7 +189,7 @@ def test_criterion_6_dijkstra_matches_enumeration_oracle():
     checked = 0
     for _ in range(1000):
         g = random_snapshot(rng)
-        src, dst = rng.sample(g.nodes(), 2)
+        src, dst = rng.sample(node_refs(g), 2)
         best = enumerate_paths_oracle(g, src, dst)
         route = shortest_path(g, src, dst)
         if best is None:
@@ -198,10 +204,10 @@ def test_criterion_6_intra_plane_census(default_constellation):
     rng = random.Random(8675309)
     for _ in range(50):
         t = rng.uniform(0.0, 5800.0)
-        graph = build_snapshot(default_constellation, [], t, TopologyParams())
-        census = neighbor_census(graph)
-        assert len(census) == 1584
-        assert all(c.intra_plane == 4 for c in census.values())
+        links = slot_links(default_constellation, [], t, TopologyParams())
+        census = neighbor_census(links, default_constellation.cfg)
+        assert census.shape == (1584, 4)
+        assert (census[:, 0] == 4).all()
     print("criterion 6b: intra-plane neighbor count = 4 for all satellites at 50 slots")
 
 
@@ -222,7 +228,7 @@ def test_criterion_6_pruned_builder_equals_all_pairs(small_constellation):
     for t, r in ((0.0, 1500.0), (913.7, 3500.0)):
         params = TopologyParams(lisl_range_km=r)
         graph = build_snapshot(small_constellation, stations, t, params)
-        assert graph.edge_set() == brute_force_edge_set(small_constellation, stations, t, params)
+        assert edge_set(graph) == brute_force_edge_set(small_constellation, stations, t, params)
     print("criterion 6d: pruned snapshot builder matches the all-pairs scan on 4x6")
 
 
@@ -240,9 +246,9 @@ def test_criterion_6_edge_set_monotone_in_range(default_constellation):
     for t in (100.0, 2222.0):
         previous = set()
         for r in (800.0, 1200.0, 1500.0, 2000.0):
-            current = build_snapshot(
+            current = edge_set(build_snapshot(
                 default_constellation, stations, t, TopologyParams(lisl_range_km=r)
-            ).edge_set()
+            ))
             assert previous <= current
             previous = current
     print("criterion 6f: edge sets grow monotonically with LISL range")

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from leolat.cli import load_config, main, round4, slugify
+from leolat.cli import CliError, load_config, main, round4, slugify
+from leolat.experiment import builtin_scenarios
 
 NY_DUBLIN_CSV = "new_york_dublin_slots.csv"
 
@@ -190,18 +191,21 @@ class TestExportGeojson:
         assert ny[0] == pytest.approx(-74.011322, abs=1e-6)
         assert coords[0] == ny
 
-    def test_latency_property_matches_slot_csv(self, tmp_path):
-        out = tmp_path / "geo2"
-        assert main(["run", "--out", str(out), "--duration", "3"]) == 0
-        assert main(
-            ["export-geojson", "--out", str(out), "--duration", "3",
-             "--scenario", "New York-Dublin", "--slot", "2"]
-        ) == 0
-        doc = json.loads((out / "new_york_dublin_slot2.geojson").read_text())
-        line = next(f for f in doc["features"] if f["geometry"]["type"] == "LineString")
-        rows = read_rows(out / NY_DUBLIN_CSV)
-        csv_latency = float(rows[2][1])  # slot 2
-        assert abs(line["properties"]["latency_ms"] - csv_latency) < 1e-9
+    def test_route_matches_slot_csv(self, run_dir, tmp_path):
+        # export-geojson must show the route, not only the latency, that
+        # run wrote for the same slot.
+        for scenario in builtin_scenarios():
+            rows = read_rows(run_dir / f"{slugify(scenario.name)}_slots.csv")
+            for slot in (1, 7, 20):
+                assert main(["export-geojson", "--out", str(tmp_path), "--duration", "20",
+                             "--scenario", scenario.name, "--slot", str(slot)]) == 0
+                path = tmp_path / f"{slugify(scenario.name)}_slot{slot}.geojson"
+                features = json.loads(path.read_text())["features"]
+                labels = [f["properties"]["label"] for f in features
+                          if f["geometry"]["type"] == "Point"]
+                (line,) = [f for f in features if f["geometry"]["type"] == "LineString"]
+                assert rows[slot] == [str(slot), f"{line['properties']['latency_ms']:.4f}",
+                                      "|".join(labels)]
 
     def test_unknown_scenario_and_bad_slot(self, tmp_path, capsys):
         assert main(["export-geojson", "--out", str(tmp_path),
@@ -271,6 +275,38 @@ class TestConfigLoading:
         assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "invalid constellation" in err
+
+    @pytest.mark.parametrize(
+        "yaml_text,where",
+        [
+            ("constellation: 5\n", "section constellation"),
+            ("topology: [1]\n", "section topology"),
+            ("constants: x\n", "section constants"),
+            ("scenarios: 5\n", "scenarios must be a non-empty list"),
+            ("constellation: {phase_factor: 1.5}\n", "phase_factor must be an integer"),
+            ("constellation: {num_planes: true}\n", "num_planes must be an integer"),
+            ("constellation: {1: 2, a: 3}\n", "unknown constellation keys"),
+        ],
+        ids=["scalar-constellation", "list-topology", "string-constants", "scalar-scenarios",
+             "float-phasing", "bool-planes", "mixed-type-keys"],
+    )
+    def test_malformed_sections_rejected(self, tmp_path, capsys, yaml_text, where):
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml_text)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["null", "''", "5", "[a]"])
+    def test_out_dir_must_be_a_non_empty_string(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "bad.yaml"
+        p.write_text(f"out_dir: {value}\nduration_s: 2\n")
+        with pytest.raises(CliError, match="out_dir"):
+            load_config(p)
+        assert main(["run", "--config", str(p)]) == 1
+        assert "out_dir" in capsys.readouterr().err
+        assert [x.name for x in tmp_path.iterdir()] == ["bad.yaml"]
 
     def test_slot_must_divide_duration(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"

@@ -4,15 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from leolat import (
-    CONSTANTS,
-    Constellation,
-    ConstellationConfig,
-    build_constellation,
-    format_sat_id,
-    parse_sat_id,
-)
-from leolat.constellation import orbital_period_s
+from leolat import CONSTANTS, Constellation, ConstellationConfig, parse_sat_id
+from leolat.constellation import format_sat_id, orbital_period_s
 
 A = 6928.0  # shell radius at 550 km over the 6,378 km Earth
 
@@ -33,6 +26,11 @@ class TestConfig:
             {"inclination_deg": 181.0},
             {"phase_factor": 24},
             {"phase_factor": -1},
+            {"num_planes": 2.5},
+            {"sats_per_plane": 66.0},
+            {"phase_factor": 1.5},
+            {"num_planes": True},
+            {"phase_factor": False},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -42,32 +40,35 @@ class TestConfig:
 
 class TestBuild:
     def test_default_shell_count_and_ids(self):
-        sats = build_constellation(ConstellationConfig())
-        assert len(sats) == 1584
-        assert sats[0].sat_id == "x10101"
-        assert sats[-1].sat_id == "x12466"
-        assert len({s.sat_id for s in sats}) == 1584
+        shell = Constellation(ConstellationConfig())
+        assert len(shell) == 1584
+        assert shell.sat_ids[0] == "x10101"
+        assert shell.sat_ids[-1] == "x12466"
+        assert len(set(shell.sat_ids)) == 1584
+        assert [parse_sat_id(sid) for sid in shell.sat_ids[65:67]] == [(1, 66), (2, 1)]
 
     def test_uniform_grid_two_planes_three_slots(self):
-        sats = build_constellation(ConstellationConfig(num_planes=2, sats_per_plane=3))
-        raans = sorted({round(math.degrees(s.raan_rad), 9) for s in sats})
-        assert raans == [0.0, 180.0]
-        for p in (1, 2):
-            anomalies = sorted(
-                round(math.degrees(s.anomaly0_rad), 9) for s in sats if s.plane_index == p
-            )
-            assert anomalies == pytest.approx([0.0, 120.0, 240.0])
+        shell = Constellation(ConstellationConfig(num_planes=2, sats_per_plane=3))
+        # Rows are planes, columns slots within a plane.
+        raans = np.degrees(shell._raan).reshape(2, 3)
+        anomalies = np.degrees(shell._anom0).reshape(2, 3)
+        assert raans.tolist() == [[0.0] * 3, [180.0] * 3]
+        for row in anomalies:
+            assert sorted(row) == pytest.approx([0.0, 120.0, 240.0])
 
     def test_phase_factor_shifts_adjacent_planes(self):
         cfg = ConstellationConfig(num_planes=24, sats_per_plane=66, phase_factor=5)
-        sats = build_constellation(cfg)
-        first_by_plane = {s.plane_index: s for s in sats if s.slot_index == 1}
-        shift = math.degrees(first_by_plane[2].anomaly0_rad - first_by_plane[1].anomaly0_rad)
+        shell = Constellation(cfg)
+        # Index 66 is slot 1 of plane 2.
+        shift = math.degrees(shell._anom0[66] - shell._anom0[0])
         assert shift == pytest.approx(5 * 360.0 / (24 * 66))
 
     def test_two_digit_id_scheme_limit(self):
         with pytest.raises(ValueError):
-            build_constellation(ConstellationConfig(num_planes=100, sats_per_plane=2))
+            ConstellationConfig(num_planes=100, sats_per_plane=2)
+        with pytest.raises(ValueError):
+            ConstellationConfig(num_planes=2, sats_per_plane=100)
+        assert Constellation(ConstellationConfig(num_planes=99, sats_per_plane=2)).sat_ids[-1] == "x19902"
 
 
 class TestSatId:

@@ -13,12 +13,11 @@ from leolat import (
     TopologyParams,
     build_snapshot,
     builtin_scenarios,
-    compare,
     great_circle_distance,
     oftn_latency,
     run_scenarios,
 )
-from leolat.experiment import EXCHANGE_COORDINATES, chord_bound_ms, summarize
+from leolat.experiment import EXCHANGE_COORDINATES, chord_bound_ms, compare, summarize
 
 
 class TestFiberBaseline:

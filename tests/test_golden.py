@@ -1,8 +1,8 @@
-"""Golden artifacts: two short default-config runs must reproduce these
+"""Golden artifacts: short default-config commands must reproduce these
 SHA-256 digests byte for byte.
 
 A refactor that changes any route, latency digit or summary field fails
-here. When an output change is intended, rerun the two commands, check
+here. When an output change is intended, rerun the commands, check
 the new files by hand, and replace the digests below.
 """
 
@@ -26,6 +26,10 @@ GOLDEN = {
     ("sweep-range", "--duration", "10", "--ranges", "1000,1500,3000,6000"): {
         "sweep_range.csv":
             "43828b52f4f94e530ac1ad72239fd24b3a49dc2242644eea5ab1aef1dbc62313",
+    },
+    ("export-geojson", "--scenario", "Toronto-Sydney", "--slot", "60"): {
+        "toronto_sydney_slot60.geojson":
+            "01f29c690d31f2bf18344603e536f7515eb2d8585b3f4b9bc355f04bb8c73384",
     },
 }
 

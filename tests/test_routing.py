@@ -9,16 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KM_PER_MS, heap_route, random_snapshot
+from conftest import (
+    KM_PER_MS,
+    adjacency,
+    edge_set,
+    enumerate_paths_oracle,
+    heap_route,
+    node_refs,
+    random_snapshot,
+    snapshot_from_edges,
+)
 import leolat
 from leolat import (
     NodeRef,
-    SnapshotGraph,
     TopologyParams,
     build_snapshot,
     builtin_scenarios,
     chord_bound_ms,
-    enumerate_paths_oracle,
     shortest_path,
 )
 
@@ -30,7 +37,7 @@ def ground(*labels):
 class TestShortestPath:
     def test_line_graph(self):
         a, b, c = ground("a", "b", "c")
-        g = SnapshotGraph.from_edge_list([(a, b, KM_PER_MS), (b, c, 2 * KM_PER_MS)])
+        g = snapshot_from_edges([(a, b, KM_PER_MS), (b, c, 2 * KM_PER_MS)])
         route = shortest_path(g, a, c)
         assert route.labels() == ["a", "b", "c"]
         assert route.total_latency_s * 1000.0 == pytest.approx(3.0, rel=1e-12)
@@ -38,7 +45,7 @@ class TestShortestPath:
 
     def test_equal_cost_tie_breaks_lexicographically(self):
         a, b, c, d = ground("a", "b", "c", "d")
-        g = SnapshotGraph.from_edge_list(
+        g = snapshot_from_edges(
             [(a, b, KM_PER_MS), (b, c, KM_PER_MS), (c, d, KM_PER_MS), (d, a, KM_PER_MS)]
         )
         route = shortest_path(g, a, c)
@@ -50,25 +57,25 @@ class TestShortestPath:
         a, c = ground("a", "c")
         zsat = NodeRef.satellite("x10101")
         b = NodeRef.ground("zz")  # label sorts after the satellite's
-        g = SnapshotGraph.from_edge_list(
+        g = snapshot_from_edges(
             [(a, zsat, KM_PER_MS), (zsat, c, KM_PER_MS), (a, b, KM_PER_MS), (b, c, KM_PER_MS)]
         )
         assert shortest_path(g, a, c).labels() == ["a", "zz", "c"]
 
     def test_unreachable_is_a_result(self):
         a, b, c, d = ground("a", "b", "c", "d")
-        g = SnapshotGraph.from_edge_list([(a, b, 10.0), (c, d, 10.0)])
+        g = snapshot_from_edges([(a, b, 10.0), (c, d, 10.0)])
         assert shortest_path(g, a, c) is None
 
     def test_same_endpoints_rejected(self):
         a, b = ground("a", "b")
-        g = SnapshotGraph.from_edge_list([(a, b, 10.0)])
+        g = snapshot_from_edges([(a, b, 10.0)])
         with pytest.raises(ValueError):
             shortest_path(g, a, a)
 
     def test_missing_node_rejected(self):
         a, b = ground("a", "b")
-        g = SnapshotGraph.from_edge_list([(a, b, 10.0)])
+        g = snapshot_from_edges([(a, b, 10.0)])
         with pytest.raises(KeyError):
             shortest_path(g, a, NodeRef.ground("nope"))
 
@@ -77,7 +84,7 @@ class TestShortestPath:
         hits = 0
         for _ in range(250):
             g = random_snapshot(rng)
-            nodes = g.nodes()
+            nodes = node_refs(g)
             src, dst = rng.sample(nodes, 2)
             best = enumerate_paths_oracle(g, src, dst)
             route = shortest_path(g, src, dst)
@@ -92,8 +99,8 @@ class TestShortestPath:
         rng = random.Random(77)
         for _ in range(50):
             g = random_snapshot(rng)
-            adj = g.adjacency()
-            nodes = g.nodes()
+            adj = adjacency(g)
+            nodes = node_refs(g)
             src, dst = rng.sample(nodes, 2)
             route = shortest_path(g, src, dst)
             if route is None:
@@ -129,7 +136,7 @@ def tie_heavy_graphs(draw):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     lengths = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
     c_vacuum = draw(st.sampled_from([1000.0, 3000.0, 299_792_458.0]))
-    graph = SnapshotGraph.from_edge_list(
+    graph = snapshot_from_edges(
         [(nodes[i], nodes[j], float(d)) for (i, j), d in zip(chosen, lengths)],
         nodes=nodes, c_vacuum=c_vacuum,
     )
@@ -153,18 +160,18 @@ def test_kernel_matches_heap_reference_on_tie_heavy_graphs(case):
 class TestOracle:
     def test_single_edge(self):
         a, b = ground("a", "b")
-        g = SnapshotGraph.from_edge_list([(a, b, KM_PER_MS)])
+        g = snapshot_from_edges([(a, b, KM_PER_MS)])
         assert enumerate_paths_oracle(g, a, b) == pytest.approx(0.001, rel=1e-12)
 
     def test_disconnected_pair(self):
         a, b, c, d = ground("a", "b", "c", "d")
-        g = SnapshotGraph.from_edge_list([(a, b, 10.0), (c, d, 10.0)])
+        g = snapshot_from_edges([(a, b, 10.0), (c, d, 10.0)])
         assert enumerate_paths_oracle(g, a, c) is None
 
     def test_size_cap_enforced(self):
         nodes = ground(*[f"n{i}" for i in range(13)])
         edges = [(nodes[i], nodes[i + 1], 10.0) for i in range(12)]
-        g = SnapshotGraph.from_edge_list(edges)
+        g = snapshot_from_edges(edges)
         with pytest.raises(ValueError):
             enumerate_paths_oracle(g, nodes[0], nodes[12])
         with pytest.raises(ValueError):
@@ -192,7 +199,7 @@ class TestRoutesOnConstellation:
             assert route.total_latency_s == pytest.approx(
                 sum(route.hop_latencies_s), rel=1e-12
             )
-            edges = graph.edge_set()
+            edges = edge_set(graph)
             for x, y in zip(route.nodes, route.nodes[1:]):
                 assert (x.label, y.label) in edges or (y.label, x.label) in edges
 

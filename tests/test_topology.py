@@ -1,14 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
-from conftest import brute_force_edge_set
+from conftest import adjacency, brute_force_edge_set, edge_set, snapshot_from_edges
 from leolat import (
     CONSTANTS,
+    ConstellationConfig,
     GeodeticPoint,
     NodeRef,
-    SnapshotGraph,
     TopologyParams,
     build_snapshot,
     geodetic_to_inertial,
@@ -17,7 +15,7 @@ from leolat import (
 )
 from leolat.geo import elevation_angles
 from leolat.routing import link_latencies
-from leolat.topology import plane_link_class
+from leolat.topology import SlotLinks, plane_link_class, slot_links
 
 STATIONS = [GeodeticPoint(40.7, -74.0, "NY"), GeodeticPoint(53.3, -6.3, "Dub")]
 
@@ -52,24 +50,25 @@ class TestClassify:
         assert link_class("x10101", "x11325", default_cfg.num_planes) == 2
 
 
+def census_at(constellation, stations, t, params):
+    links = slot_links(constellation, stations, t, params)
+    return neighbor_census(links, constellation.cfg)
+
+
 class TestSnapshot:
     def test_every_satellite_has_four_intra_plane_links(self, default_constellation):
         for t in (0.0, 1700.0, 3599.0):
-            graph = build_snapshot(default_constellation, STATIONS, t, TopologyParams())
-            census = neighbor_census(graph)
-            assert len(census) == 1584
-            assert all(c.intra_plane == 4 for c in census.values())
+            census = census_at(default_constellation, STATIONS, t, TopologyParams())
+            assert census.shape == (1584, 4)
+            assert (census[:, 0] == 4).all()
 
     def test_short_range_drops_intra_plane_links(self, default_constellation):
         # One-slot chord is ~659 km > 600 km.
-        graph = build_snapshot(default_constellation, [], 0.0, TopologyParams(lisl_range_km=600))
-        census = neighbor_census(graph)
-        assert all(c.intra_plane == 0 for c in census.values())
+        census = census_at(default_constellation, [], 0.0, TopologyParams(lisl_range_km=600))
+        assert (census[:, 0] == 0).all()
 
     def test_link_latency_is_distance_over_c(self):
-        a, b = NodeRef.ground("a"), NodeRef.ground("b")
-        graph = SnapshotGraph.from_edge_list([(a, b, 1317.1)])
-        (latency_s,) = link_latencies(graph.edge_dist_km, graph.c_vacuum)
+        (latency_s,) = link_latencies(np.array([1317.1]), CONSTANTS.c_vacuum)
         assert latency_s * 1000.0 == pytest.approx(4.3934, abs=1e-4)
         assert latency_s * CONSTANTS.c_vacuum / 1000.0 == pytest.approx(1317.1, rel=1e-12)
 
@@ -77,15 +76,14 @@ class TestSnapshot:
         graph = build_snapshot(default_constellation, STATIONS, 0.0, TopologyParams())
         assert graph.n_nodes == 1586
         assert graph.ground_labels == ("Dub", "NY")
-        nodes = graph.nodes()
-        assert nodes[0] == NodeRef.ground("Dub")
-        assert nodes[2] == NodeRef.satellite("x10101")
+        assert graph.node_ref(0) == NodeRef.ground("Dub")
+        assert graph.node_ref(2) == NodeRef.satellite("x10101")
         assert graph.index_of(NodeRef.satellite("x12466")) == graph.n_nodes - 1
 
     def test_symmetric_adjacency(self, small_constellation):
         graph = build_snapshot(small_constellation, STATIONS, 500.0,
                                TopologyParams(lisl_range_km=3000))
-        adj = graph.adjacency()
+        adj = adjacency(graph)
         for u, nbrs in enumerate(adj):
             for v, w in nbrs:
                 assert (u, w) in [(x, y) for x, y in adj[v]]
@@ -100,8 +98,8 @@ class TestSnapshot:
     def test_edge_set_monotone_in_range(self, default_constellation):
         t = 250.0
         sets = [
-            build_snapshot(default_constellation, STATIONS, t,
-                           TopologyParams(lisl_range_km=r)).edge_set()
+            edge_set(build_snapshot(default_constellation, STATIONS, t,
+                                    TopologyParams(lisl_range_km=r)))
             for r in (600.0, 1000.0, 1500.0)
         ]
         assert sets[0] <= sets[1] <= sets[2]
@@ -110,7 +108,7 @@ class TestSnapshot:
         for t, r in ((0.0, 1500.0), (613.7, 3000.0), (2801.1, 4500.0)):
             params = TopologyParams(lisl_range_km=r)
             graph = build_snapshot(small_constellation, STATIONS, t, params)
-            assert graph.edge_set() == brute_force_edge_set(
+            assert edge_set(graph) == brute_force_edge_set(
                 small_constellation, STATIONS, t, params
             )
 
@@ -150,41 +148,54 @@ class TestSnapshot:
 
 class TestCensus:
     def test_class_counts_sum_to_degree(self, default_constellation):
+        census = census_at(default_constellation, STATIONS, 321.0, TopologyParams())
         graph = build_snapshot(default_constellation, STATIONS, 321.0, TopologyParams())
-        census = neighbor_census(graph)
-        adj = graph.adjacency()
-        for sat_id, counts in census.items():
-            idx = graph.index_of(NodeRef.satellite(sat_id))
-            assert counts.total == len(adj[idx])
+        degree = np.bincount(np.concatenate([graph.edge_i, graph.edge_j]),
+                             minlength=graph.n_nodes)[graph.n_ground:]
+        n_ground_links = np.count_nonzero(graph.edge_i < graph.n_ground)
+        assert n_ground_links > 0 and census[:, 3].sum() == n_ground_links
+        assert (census.sum(axis=1) == degree).all()
+
+    def test_class_counts_match_parsed_ids(self, default_constellation):
+        links = slot_links(default_constellation, STATIONS, 77.0, TopologyParams())
+        census = neighbor_census(links, default_constellation.cfg)
+        ids = default_constellation.sat_ids
+        expected = np.zeros_like(census)
+        for i, j in zip(links.isl_i.tolist(), links.isl_j.tolist()):
+            cls = link_class(ids[i], ids[j], default_constellation.cfg.num_planes)
+            expected[i, cls] += 1
+            expected[j, cls] += 1
+        for visible, _ in links.uplinks:
+            expected[visible, 3] += 1
+        assert (census == expected).all()
 
     def test_adjacent_plane_neighbors_exist_at_mid_latitudes(self, default_constellation):
-        graph = build_snapshot(default_constellation, [], 0.0, TopologyParams())
-        census = neighbor_census(graph)
+        census = census_at(default_constellation, [], 0.0, TopologyParams())
         sats = default_constellation.positions_at(0.0)
-        shell_r = 6928.0
-        for k, sat_id in enumerate(default_constellation.sat_ids):
-            lat_deg = math.degrees(math.asin(sats[k][2] / shell_r))
-            if abs(lat_deg) < 30.0:
-                assert census[sat_id].adjacent_plane >= 1
+        lat_deg = np.degrees(np.arcsin(sats[:, 2] / 6928.0))
+        assert (census[np.abs(lat_deg) < 30.0, 1] >= 1).all()
 
     def test_empty_graph_yields_empty_census(self):
-        assert neighbor_census(SnapshotGraph.from_edge_list([])) == {}
+        cfg = ConstellationConfig(num_planes=3, sats_per_plane=4)
+        none = np.zeros(0, dtype=np.int32)
+        links = SlotLinks(none, none, np.zeros(0), ((none, np.zeros(0)),))
+        assert (neighbor_census(links, cfg) == np.zeros((12, 4))).all()
 
 
 class TestFromEdgeList:
     def test_rejects_self_loop(self):
         a = NodeRef.ground("a")
         with pytest.raises(ValueError):
-            SnapshotGraph.from_edge_list([(a, a, 10.0)])
+            snapshot_from_edges([(a, a, 10.0)])
 
     def test_rejects_duplicate_edges(self):
         a, b = NodeRef.ground("a"), NodeRef.ground("b")
         with pytest.raises(ValueError):
-            SnapshotGraph.from_edge_list([(a, b, 10.0), (b, a, 12.0)])
+            snapshot_from_edges([(a, b, 10.0), (b, a, 12.0)])
 
     def test_isolated_nodes_are_legal(self):
         a, b, c = (NodeRef.ground(x) for x in "abc")
-        graph = SnapshotGraph.from_edge_list([(a, b, 5.0)], nodes=[c])
+        graph = snapshot_from_edges([(a, b, 5.0)], nodes=[c])
         assert graph.n_nodes == 3
-        assert graph.adjacency()[graph.index_of(c)] == []
+        assert adjacency(graph)[graph.index_of(c)] == []
 
