@@ -39,7 +39,14 @@ from .experiment import (
     run_scenarios,
     slot_count,
 )
-from .geo import CONSTANTS, GeodeticPoint, PhysicalConstants, great_circle_distance, inertial_to_geodetic
+from .geo import (
+    CONSTANTS,
+    GeodeticPoint,
+    PhysicalConstants,
+    check_fields,
+    great_circle_distance,
+    inertial_to_geodetic,
+)
 from .topology import TopologyParams
 
 log = logging.getLogger("leolat")
@@ -66,6 +73,7 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
+        check_fields(self)
         slot_count(self.duration_s, self.slot_s)
         unknown = set(self.formats) - {"csv", "json"}
         if unknown:

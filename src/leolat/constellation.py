@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import CONSTANTS, PhysicalConstants, require_finite
+from .geo import CONSTANTS, PhysicalConstants, check_fields
 
 _SAT_ID_RE = re.compile(r"^x1(\d{2})(\d{2})$")
 
@@ -34,11 +34,7 @@ class ConstellationConfig:
     epoch: float = 0.0          # reference time, s; t is measured from it
 
     def __post_init__(self):
-        for name in ("num_planes", "sats_per_plane", "phase_factor"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        require_finite(self)
+        check_fields(self)
         if self.num_planes < 1 or self.sats_per_plane < 1:
             raise ValueError("num_planes and sats_per_plane must be >= 1")
         if self.num_planes > 99 or self.sats_per_plane > 99:

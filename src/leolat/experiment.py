@@ -186,12 +186,10 @@ class _SlotEngine:
 
     def route_slot(self, t: float) -> list[Route | None]:
         links = slot_links(self.constellation, self.stations, t, self.params)
-        i, j, dist_km = links.edges(len(self.stations))
-        lat = link_latencies(dist_km, self.constellation.constants.c_vacuum)
-        up = links.n_uplinks  # uplinks one way, laser links both ways
+        tails, heads, dist_km = links.arcs(len(self.stations))
         n = len(self.nodes)
-        graph = directed_graph(n, np.concatenate([i, j[up:]]), np.concatenate([j, i[up:]]),
-                               np.concatenate([lat, lat[up:]]))
+        graph = directed_graph(n, tails, heads,
+                               link_latencies(dist_km, self.constellation.constants.c_vacuum))
         # Each satellite's downlink latency to a destination is the
         # destination's uplink read backwards.
         towards = {}

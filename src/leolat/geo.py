@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,23 @@ import numpy as np
 Vec3 = np.ndarray  # shape (3,), km, ECI frame
 
 
-def require_finite(obj) -> None:
-    """Raise ValueError if any numeric field of a dataclass is NaN or infinite."""
+_FIELD_KINDS = {"float": (numbers.Real, "a number"), "int": (int, "an integer"),
+                "bool": (bool, "true or false")}
+
+
+def check_fields(obj) -> None:
+    """Raise ValueError naming the field unless every float field of a
+    dataclass holds a finite real number, every int field an int and every
+    bool field a bool. Neither a bool nor a string passes for a number."""
     for f in dataclasses.fields(obj):
+        kind = _FIELD_KINDS.get(getattr(f.type, "__name__", f.type))
+        if kind is None:
+            continue
         value = getattr(obj, f.name)
-        if isinstance(value, (int, float)) and not math.isfinite(value):
+        cls, what = kind
+        if not isinstance(value, cls) or (cls is not bool and isinstance(value, bool)):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if cls is numbers.Real and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
@@ -36,7 +49,7 @@ class PhysicalConstants:
     mu_earth: float = 398_600.4418           # km^3/s^2
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         for name in ("c_vacuum", "fiber_refractive_index", "earth_radius_km", "mu_earth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -69,7 +82,7 @@ class GeodeticPoint:
     label: str = ""
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValueError(f"latitude {self.latitude_deg} outside [-90, 90]")
         object.__setattr__(

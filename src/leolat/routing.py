@@ -50,10 +50,12 @@ def directed_graph(
 ) -> csr_matrix:
     """CSR matrix holding one directed edge tail -> head per entry.
 
-    Neighbors within a row are left unsorted; nothing downstream needs
-    them in order.
+    Entries are grouped by tail with a stable sort, so within a row they
+    keep their order in the input arrays. The tails are sorted as the
+    narrowest unsigned type that holds every node number: for up to 65,536
+    nodes that is 16 bits, which numpy sorts stably by radix sort.
     """
-    order = np.argsort(tails)
+    order = np.argsort(tails.astype(np.min_scalar_type(n_nodes)), kind="stable")
     indptr = np.zeros(n_nodes + 1, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=n_nodes), out=indptr[1:])
     return csr_matrix((latencies_s[order], heads[order].astype(np.int32, copy=False), indptr),

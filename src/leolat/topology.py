@@ -6,6 +6,14 @@ range (optionally also requiring a clear line of sight past the Earth); a
 station links to a satellite iff the satellite is above the station's
 elevation mask. The slot engine routes every CLI command on these arrays.
 
+The line-of-sight test rests on the shell being one sphere of radius r:
+the chord between two of its satellites clears the Earth exactly when it
+is shorter than the tangent chord 2 * sqrt(r^2 - R_E^2), about 5,410 km at
+550 km. So ranges up to the tangent chord never lose a pair to the Earth;
+with the occlusion check on, longer pairs are never linked, and only
+pairs within a relative 1e-9 of the tangent chord go through the exact
+segment test.
+
 build_snapshot turns the same links into a SnapshotGraph: an undirected
 graph over the stations and satellites of one slot, weighted by latency at
 the vacuum speed of light. It is the reference graph that the benchmark's
@@ -28,11 +36,15 @@ from .constellation import Constellation, ConstellationConfig, orbit_radius_km
 from .geo import (
     CONSTANTS,
     GeodeticPoint,
+    check_fields,
     elevation_angles,
     geodetic_to_inertial,
-    require_finite,
     segments_clear,
 )
+
+# Relative width of the band around the tangent chord whose pairs get the
+# exact line-of-sight test.
+_CHORD_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,7 @@ class TopologyParams:
     occlusion_check: bool = True
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.lisl_range_km <= 0:
             raise ValueError("lisl_range_km must be > 0")
         if not 0.0 <= self.min_elevation_deg < 90.0:
@@ -159,16 +171,36 @@ class SlotLinks:
     def n_uplinks(self) -> int:
         return sum(len(visible) for visible, _ in self.uplinks)
 
+    def arcs(self, n_stations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tail, head, dist_km) arrays of the directed links, numbering the
+        stations first and the satellites after them: the n_uplinks station
+        links first (station to satellite only), then each laser link i -> j,
+        then each laser link j -> i."""
+        visible = [v for v, _ in self.uplinks]
+        i = self.isl_i + n_stations
+        j = self.isl_j + n_stations
+        return (np.concatenate([np.full(len(v), s, dtype=np.int32) for s, v in enumerate(visible)]
+                               + [i, j]),
+                np.concatenate([v + n_stations for v in visible] + [j, i]),
+                np.concatenate([d for _, d in self.uplinks] + [self.isl_dist_km] * 2))
+
     def edges(self, n_stations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, dist_km) arrays, each link once with i < j, numbering the
-        stations first and the satellites after them: the n_uplinks
-        station links come first, then the laser links."""
-        i = [np.full(len(visible), s, dtype=np.int32) for s, (visible, _) in enumerate(self.uplinks)]
-        j = [visible + n_stations for visible, _ in self.uplinks]
-        d = [dist for _, dist in self.uplinks]
-        return (np.concatenate(i + [self.isl_i + n_stations]),
-                np.concatenate(j + [self.isl_j + n_stations]),
-                np.concatenate(d + [self.isl_dist_km]))
+        """(i, j, dist_km) arrays, each link once with i < j: the arcs up to
+        the first laser link's reverse direction."""
+        n = self.n_uplinks + len(self.isl_i)
+        return tuple(a[:n] for a in self.arcs(n_stations))
+
+
+def pair_lengths(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distance between points i[k] and j[k] of a (3, N) array of x, y and z
+    rows. Gathers from three 1-D rows run faster than one (N, 3) row
+    gather, and the sum x + y + z is np.linalg.norm's, so the result is
+    bit-identical to np.linalg.norm(xyz[i] - xyz[j], axis=1)."""
+    x, y, z = cols
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
+    dz = z[i] - z[j]
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def slot_links(
@@ -180,26 +212,39 @@ def slot_links(
     """Laser pairs within range and station-satellite links above the mask at t.
 
     Satellite pairs within laser range are found with a KD-tree and
-    optionally filtered by Earth occlusion; each station links to every
-    satellite at or above its elevation mask.
+    optionally filtered by Earth occlusion, by chord length (see the module
+    docstring); each station links to every satellite at or above its
+    elevation mask.
     """
     constants = constellation.constants
     sats_xyz = constellation.positions_at(t)
 
-    # A chord between two points of the shell cannot dip below the Earth
-    # when it is shorter than twice the tangent length, so the occlusion
-    # filter is skipped where it provably cannot remove anything.
-    pairs = cKDTree(sats_xyz).query_pairs(r=params.lisl_range_km, output_type="ndarray")
+    # Every satellite lies on one shell of radius r, and a chord of that
+    # shell clears the Earth exactly when it is shorter than the tangent
+    # chord 2 * sqrt(r^2 - R_E^2), about 5,410.47 km at 550 km. Up to that
+    # range nothing can be occluded. Past it, with the occlusion check on,
+    # the KD-tree searches only up to the tangent chord plus a relative
+    # margin, and only pairs within that margin of it get the exact segment
+    # test. A length is off by ~1e-12 km against a ~5e-6 km margin, so no
+    # pair outside the band can fall on the wrong side.
     shell_r = orbit_radius_km(constellation.cfg, constants)
-    always_clear = params.lisl_range_km <= 2.0 * math.sqrt(
-        max(0.0, shell_r**2 - constants.earth_radius_km**2)
-    )
-    if params.occlusion_check and not always_clear and len(pairs):
-        clear = segments_clear(sats_xyz[pairs[:, 0]], sats_xyz[pairs[:, 1]],
-                               constants.earth_radius_km)
-        pairs = pairs[clear]
+    tangent = 2.0 * math.sqrt(max(0.0, shell_r**2 - constants.earth_radius_km**2))
+    occlude = params.occlusion_check and params.lisl_range_km > tangent
+    reach = params.lisl_range_km
+    if occlude:
+        reach = min(reach, tangent * (1.0 + _CHORD_MARGIN))
+    pairs = cKDTree(sats_xyz).query_pairs(r=reach, output_type="ndarray")
+    # Gathers index fastest with the platform's own integer, so the pairs
+    # narrow to int32 only once the lengths are taken.
+    isl_dist = pair_lengths(sats_xyz.T.copy(), pairs[:, 0], pairs[:, 1])
+    if occlude:
+        band = np.flatnonzero(isl_dist >= tangent * (1.0 - _CHORD_MARGIN))
+        if len(band):
+            keep = np.ones(len(pairs), dtype=bool)
+            keep[band] = segments_clear(sats_xyz[pairs[band, 0]], sats_xyz[pairs[band, 1]],
+                                        constants.earth_radius_km)
+            pairs, isl_dist = pairs[keep], isl_dist[keep]
     pairs = pairs.astype(np.int32)
-    isl_dist = np.linalg.norm(sats_xyz[pairs[:, 0]] - sats_xyz[pairs[:, 1]], axis=1)
 
     uplinks = []
     for station in stations:

@@ -286,13 +286,27 @@ class TestConfigLoading:
             ("constellation: {phase_factor: 1.5}\n", "phase_factor must be an integer"),
             ("constellation: {num_planes: true}\n", "num_planes must be an integer"),
             ("constellation: {1: 2, a: 3}\n", "unknown constellation keys"),
+            ("topology: {occlusion_check: 'no'}\n", "occlusion_check must be true or false"),
+            ("topology: {occlusion_check: 1}\n", "occlusion_check must be true or false"),
+            ("duration_s: true\n", "duration_s must be a number"),
+            ("duration_s: '10'\n", "duration_s must be a number"),
+            ("slot_s: true\nduration_s: 2\n", "slot_s must be a number"),
+            ("slot_s: '1'\n", "slot_s must be a number"),
+            ("topology: {lisl_range_km: true}\n", "lisl_range_km must be a number"),
+            ("topology: {lisl_range_km: '6000'}\n", "lisl_range_km must be a number"),
+            ("topology: {min_elevation_deg: false}\n", "min_elevation_deg must be a number"),
+            ("topology: {min_elevation_deg: '30'}\n", "min_elevation_deg must be a number"),
         ],
         ids=["scalar-constellation", "list-topology", "string-constants", "scalar-scenarios",
-             "float-phasing", "bool-planes", "mixed-type-keys"],
+             "float-phasing", "bool-planes", "mixed-type-keys", "string-occlusion",
+             "int-occlusion", "bool-duration", "string-duration", "bool-slot", "string-slot",
+             "bool-range", "string-range", "bool-mask", "string-mask"],
     )
     def test_malformed_sections_rejected(self, tmp_path, capsys, yaml_text, where):
         p = tmp_path / "bad.yaml"
         p.write_text(yaml_text)
+        with pytest.raises(CliError, match=where):
+            load_config(p)
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
         assert where in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import adjacency, brute_force_edge_set, edge_set, snapshot_from_edges
 from leolat import (
@@ -13,9 +17,10 @@ from leolat import (
     neighbor_census,
     parse_sat_id,
 )
+from leolat.constellation import orbit_radius_km, orbital_period_s
 from leolat.geo import elevation_angles
 from leolat.routing import link_latencies
-from leolat.topology import SlotLinks, plane_link_class, slot_links
+from leolat.topology import SlotLinks, pair_lengths, plane_link_class, slot_links
 
 STATIONS = [GeodeticPoint(40.7, -74.0, "NY"), GeodeticPoint(53.3, -6.3, "Dub")]
 
@@ -32,9 +37,12 @@ class TestParams:
         assert p.lisl_range_km == 1500.0 and p.min_elevation_deg == 10.0 and p.occlusion_check
 
     @pytest.mark.parametrize("kwargs", [{"lisl_range_km": 0}, {"min_elevation_deg": 90.0},
-                                        {"min_elevation_deg": -1.0}])
+                                        {"min_elevation_deg": -1.0}, {"lisl_range_km": True},
+                                        {"lisl_range_km": "6000"}, {"min_elevation_deg": False},
+                                        {"occlusion_check": "no"}, {"occlusion_check": None}])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (key,) = kwargs
+        with pytest.raises(ValueError, match=key):
             TopologyParams(**kwargs)
 
 
@@ -112,6 +120,32 @@ class TestSnapshot:
                 small_constellation, STATIONS, t, params
             )
 
+    @pytest.mark.parametrize("occlusion_check", [True, False], ids=["occlusion", "no-occlusion"])
+    def test_all_pairs_scan_above_the_tangent_chord(self, small_constellation, occlusion_check):
+        # A chord of the shell clears the Earth iff it is shorter than the
+        # tangent chord; slot_links tests only pairs within 1e-9 of it
+        # exactly. Check ranges on both sides of it against the all-pairs
+        # oracle, at epochs spread over one orbit plus every whole second
+        # at which some pair lies within 0.1% of the tangent chord.
+        shell = small_constellation
+        tangent = 2.0 * math.sqrt(orbit_radius_km(shell.cfg, shell.constants) ** 2
+                                  - shell.constants.earth_radius_km**2)
+        period = orbital_period_s(shell.cfg, shell.constants)
+        near, beyond = [], 0
+        for t in np.arange(0.0, period, 1.0):
+            xyz = shell.positions_at(t)
+            ratio = np.linalg.norm(xyz[:, None] - xyz[None], axis=2) / tangent
+            if (np.abs(ratio - 1.0) <= 1e-3).any():
+                near.append(t)
+                beyond += np.count_nonzero((ratio > 1.0) & (ratio <= 1.001))
+        assert beyond  # some blocked pair lies just past the tangent chord
+        epochs = sorted(set(np.linspace(0.0, period, 8, endpoint=False)) | set(near))
+        for t in epochs:
+            for r in (5000.0, tangent, tangent - 1e-6, tangent + 1e-6, 6000.0, 9000.0):
+                params = TopologyParams(lisl_range_km=r, occlusion_check=occlusion_check)
+                graph = build_snapshot(shell, STATIONS, t, params)
+                assert edge_set(graph) == brute_force_edge_set(shell, STATIONS, t, params), (t, r)
+
     def test_ground_links_respect_elevation_mask(self, default_constellation):
         t = 42.0
         params = TopologyParams(min_elevation_deg=25.0)
@@ -144,6 +178,22 @@ class TestSnapshot:
                 0.0,
                 TopologyParams(),
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(1, 40), n_pairs=st.integers(0, 200),
+       radius=st.sampled_from([1.0, 6928.0, 1e7]))
+@example(seed=0, n_points=3, n_pairs=0, radius=6928.0)  # no pairs
+def test_pair_lengths_match_row_norms(seed, n_points, n_pairs, radius):
+    rng = np.random.default_rng(seed)
+    xyz = rng.normal(size=(n_points, 3))
+    xyz *= radius / np.linalg.norm(xyz, axis=1)[:, None]
+    i = rng.integers(0, n_points, n_pairs)
+    j = rng.integers(0, n_points, n_pairs)
+    got = pair_lengths(xyz.T.copy(), i, j)
+    want = np.linalg.norm(xyz[i] - xyz[j], axis=1)
+    assert got.shape == want.shape == (n_pairs,)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCensus:
