@@ -381,7 +381,7 @@ def cmd_export_geojson(cfg: RunConfig, scenario_name: str, slot: int) -> int:
     t = (slot - 1) * cfg.slot_s
 
     engine = _SlotEngine(cfg.constellation, cfg.topology, [scenario], cfg.constants)
-    (route,) = engine.route_slot(t)
+    (route,) = next(engine.route_slots([t]))
     if route is None:
         raise CliError(f"scenario {scenario.name!r} has no route at slot {slot}")
 

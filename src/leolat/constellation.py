@@ -91,6 +91,10 @@ def mean_motion_rad_s(cfg: ConstellationConfig, constants: PhysicalConstants = C
     return math.sqrt(constants.mu_earth / a**3)
 
 
+def orbital_speed_km_s(cfg: ConstellationConfig, constants: PhysicalConstants = CONSTANTS) -> float:
+    return orbit_radius_km(cfg, constants) * mean_motion_rad_s(cfg, constants)
+
+
 def orbital_period_s(cfg: ConstellationConfig, constants: PhysicalConstants = CONSTANTS) -> float:
     return 2.0 * math.pi / mean_motion_rad_s(cfg, constants)
 

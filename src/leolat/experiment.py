@@ -4,7 +4,8 @@ Each scenario routes one city pair through the constellation once per
 time slot over the sweep horizon, then summarizes the reachable-slot
 latency statistics against the great-circle fiber baseline. The slot
 engine builds each slot's laser graph once and routes every scenario of
-the run over it. Slots are independent, so blocks of them can be fanned
+the run over it; consecutive slots share the link candidates and the
+graph's layout. Slots are independent, so blocks of them can be fanned
 out over a process pool; results are merged in slot order, which keeps
 every output independent of worker count.
 """
@@ -12,16 +13,24 @@ every output independent of worker count.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .constellation import Constellation, ConstellationConfig
 from .geo import CONSTANTS, GeodeticPoint, PhysicalConstants, great_circle_distance
-from .routing import Route, directed_graph, distances_from, link_latencies, trace_route
-from .topology import NodeRef, TopologyParams, slot_links
+from .routing import Route, csr_layout, distances_from, link_latencies, trace_route
+from .topology import (
+    LinkCandidates,
+    NodeRef,
+    TopologyParams,
+    candidate_blocks,
+    directed_arcs,
+)
 
 # Reproduction defaults. Neither the shell's inter-plane phasing nor the
 # ground elevation mask is pinned down by the published constellation
@@ -143,6 +152,9 @@ def summarize(
 
 def slot_count(duration_s: float, slot_s: float) -> int:
     """Number of slots in the horizon; slot_s must divide duration_s."""
+    for name, value in (("duration_s", duration_s), ("slot_s", slot_s)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
     if not (math.isfinite(slot_s) and math.isfinite(duration_s)):
         raise ValueError("slot_s and duration_s must be finite")
     if slot_s <= 0 or duration_s < 0:
@@ -162,6 +174,13 @@ class _SlotEngine:
     relay another scenario's route. One Dijkstra call per slot, from the
     destination rows along their uplinks, gives every satellite's latency
     to each destination.
+
+    The slots of one topology.candidate_blocks block share one
+    LinkCandidates set, and the graph's CSR layout (indptr and indices)
+    holds every candidate link of that block. Each slot writes only the
+    latencies, inf where a candidate is not a link at that slot: csgraph
+    never relaxes an inf edge and trace_route never takes one, so every
+    route equals the one-slot graph's.
     """
 
     def __init__(
@@ -184,19 +203,53 @@ class _SlotEngine:
             NodeRef.satellite(sid) for sid in self.constellation.sat_ids
         ]
 
-    def route_slot(self, t: float) -> list[Route | None]:
-        links = slot_links(self.constellation, self.stations, t, self.params)
-        tails, heads, dist_km = links.arcs(len(self.stations))
+    def route_slots(self, times: Sequence[float]) -> Iterator[list[Route | None]]:
+        """Each query's route at each of the ascending times, one list per
+        time; the times of one topology.candidate_blocks block share one
+        candidate set and layout."""
+        for candidates, block in candidate_blocks(self.constellation, self.stations, times,
+                                                  self.params):
+            graph, pair_of = self._layout(candidates)
+            for t in block:
+                yield self._route(graph, pair_of, *candidates.at(t))
+            # Let this block go before the next one is built.
+            candidates = graph = pair_of = None
+
+    def _layout(self, candidates: LinkCandidates) -> tuple[csr_matrix, np.ndarray]:
+        """The block's graph, its data still unset, and for each entry of the
+        satellite rows the candidate pair whose latency it holds."""
         n = len(self.nodes)
-        graph = directed_graph(n, tails, heads,
-                               link_latencies(dist_km, self.constellation.constants.c_vacuum))
+        n_uplinks = sum(len(cone) for cone in candidates.cones)
+        order, indptr, indices = csr_layout(n, *directed_arcs(
+            len(self.stations), candidates.cones, candidates.pair_i, candidates.pair_j))
+        # Station rows come first and keep the arcs' order; the arcs after
+        # them are each candidate pair i -> j, then each pair j -> i.
+        n_pairs = len(candidates.pair_i)
+        pair_of = order[n_uplinks:]
+        pair_of -= n_uplinks
+        pair_of[pair_of >= n_pairs] -= n_pairs
+        return (csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n)),
+                pair_of.astype(np.int32))
+
+    def _route(self, graph: csr_matrix, pair_of: np.ndarray, isl_dist_km: np.ndarray,
+               isl_keep: np.ndarray, uplinks) -> list[Route | None]:
+        c_vacuum = self.constellation.constants.c_vacuum
+        data, indptr = graph.data, graph.indptr
+        isl_lat = link_latencies(isl_dist_km, c_vacuum, out=isl_dist_km)
+        isl_lat[~isl_keep] = np.inf
+        np.take(isl_lat, pair_of, out=data[indptr[len(self.stations)]:], mode="clip")
+        for s, (seen, slant_km) in enumerate(uplinks):
+            row = data[indptr[s]:indptr[s + 1]]
+            link_latencies(slant_km, c_vacuum, out=row)
+            row[~seen] = np.inf
         # Each satellite's downlink latency to a destination is the
         # destination's uplink read backwards.
+        n = len(self.nodes)
         towards = {}
         for dst, dist in zip(self.targets, distances_from(graph, self.targets)):
-            lo, hi = graph.indptr[dst], graph.indptr[dst + 1]
+            lo, hi = indptr[dst], indptr[dst + 1]
             into_dst = np.full(n, np.inf)
-            into_dst[graph.indices[lo:hi]] = graph.data[lo:hi]
+            into_dst[graph.indices[lo:hi]] = data[lo:hi]
             towards[dst] = dist, into_dst
         return [trace_route(graph, towards[dst][0], src, dst, self.nodes.__getitem__, towards[dst][1])
                 for src, dst in self.queries]
@@ -213,8 +266,9 @@ def _route_block(
     """Per-scenario results over a contiguous block of slots."""
     engine = _SlotEngine(cfg, params, scenarios, constants)
     per_scenario: list[list[SlotResult]] = [[] for _ in scenarios]
-    for k in slot_indices:
-        for results, route in zip(per_scenario, engine.route_slot((k - 1) * slot_s)):
+    times = [(k - 1) * slot_s for k in slot_indices]
+    for k, routes in zip(slot_indices, engine.route_slots(times)):
+        for results, route in zip(per_scenario, routes):
             results.append(SlotResult(
                 slot_index=k,
                 route=route,

@@ -40,15 +40,19 @@ class Route:
         return [n.label for n in self.nodes]
 
 
-def link_latencies(dist_km: np.ndarray, c_vacuum: float) -> np.ndarray:
-    """Propagation latency in s of links of the given lengths in km."""
-    return dist_km * (1000.0 / c_vacuum)
+def link_latencies(
+    dist_km: np.ndarray, c_vacuum: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Propagation latency in s of links of the given lengths in km,
+    written into out when it is given."""
+    return np.multiply(dist_km, 1000.0 / c_vacuum, out=out)
 
 
-def directed_graph(
-    n_nodes: int, tails: np.ndarray, heads: np.ndarray, latencies_s: np.ndarray
-) -> csr_matrix:
-    """CSR matrix holding one directed edge tail -> head per entry.
+def csr_layout(
+    n_nodes: int, tails: np.ndarray, heads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, indptr, indices) of a CSR matrix holding one directed edge
+    tail -> head per entry: entry k of the matrix is input arc order[k].
 
     Entries are grouped by tail with a stable sort, so within a row they
     keep their order in the input arrays. The tails are sorted as the
@@ -58,8 +62,16 @@ def directed_graph(
     order = np.argsort(tails.astype(np.min_scalar_type(n_nodes)), kind="stable")
     indptr = np.zeros(n_nodes + 1, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=n_nodes), out=indptr[1:])
-    return csr_matrix((latencies_s[order], heads[order].astype(np.int32, copy=False), indptr),
-                      shape=(n_nodes, n_nodes))
+    return order, indptr, heads[order].astype(np.int32, copy=False)
+
+
+def directed_graph(
+    n_nodes: int, tails: np.ndarray, heads: np.ndarray, latencies_s: np.ndarray
+) -> csr_matrix:
+    """CSR matrix holding one directed edge tail -> head of the given
+    latency per entry, laid out by csr_layout."""
+    order, indptr, indices = csr_layout(n_nodes, tails, heads)
+    return csr_matrix((latencies_s[order], indices, indptr), shape=(n_nodes, n_nodes))
 
 
 def distances_from(graph: csr_matrix, sources) -> np.ndarray:

@@ -1,10 +1,23 @@
 """Per-time-slot links: laser ISLs plus ground up/down links.
 
-slot_links finds every link available at one instant. Satellite pairs are
-linked iff their Euclidean separation is within the configured laser link
-range (optionally also requiring a clear line of sight past the Earth); a
-station links to a satellite iff the satellite is above the station's
-elevation mask. The slot engine routes every CLI command on these arrays.
+Satellite pairs are linked iff their separation, as pair_lengths computes
+it, is within the configured laser link range (optionally also requiring a
+clear line of sight past the Earth); a station links to a satellite iff
+the satellite is at or above the station's elevation mask.
+
+LinkCandidates holds every link that can exist at some instant of a block
+of time [t0, t0 + span]. Satellites move at most v = a * n (about 7.59
+km/s at 550 km), so a pair's separation changes by at most 2 * v * span,
+and a station-satellite range by at most (v + omega_E * R_E) * span. The
+KD-tree pair search therefore runs once per block, with the range widened
+by the first bound. On one shell the elevation angle falls monotonically
+with slant range, sin el = (r^2 - R^2 - d^2) / (2 R d), so each station
+keeps the cone of satellites within the slant range of its mask widened by
+the second bound. Each slot of the block then measures only the candidates
+and applies the exact predicates: pair_lengths <= reach and elevation >=
+mask. slot_links is the one-slot case, a block of span 0 built and
+measured at the same instant; the slot engine routes every CLI command on
+candidate sets spanning up to BLOCK_MARGIN_KM of motion.
 
 The line-of-sight test rests on the shell being one sphere of radius r:
 the chord between two of its satellites clears the Earth exactly when it
@@ -14,10 +27,11 @@ with the occlusion check on, longer pairs are never linked, and only
 pairs within a relative 1e-9 of the tangent chord go through the exact
 segment test.
 
-build_snapshot turns the same links into a SnapshotGraph: an undirected
-graph over the stations and satellites of one slot, weighted by latency at
-the vacuum speed of light. It is the reference graph that the benchmark's
-output check and the tests route on with routing.shortest_path.
+build_snapshot turns the links of one slot into a SnapshotGraph: an
+undirected graph over the stations and satellites of one slot, weighted by
+latency at the vacuum speed of light. It is the reference graph that the
+benchmark's output check and the tests route on with
+routing.shortest_path.
 
 Node ordering is total and deterministic: ground stations first (by
 label), then satellites (by ID). Everything downstream that breaks ties
@@ -28,11 +42,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .constellation import Constellation, ConstellationConfig, orbit_radius_km
+from .constellation import (
+    Constellation,
+    ConstellationConfig,
+    orbit_radius_km,
+    orbital_speed_km_s,
+)
 from .geo import (
     CONSTANTS,
     GeodeticPoint,
@@ -43,8 +63,16 @@ from .geo import (
 )
 
 # Relative width of the band around the tangent chord whose pairs get the
-# exact line-of-sight test.
+# exact line-of-sight test. The KD-tree searches this much past the reach
+# as well, so that no pair it rounds differently from pair_lengths is lost.
 _CHORD_MARGIN = 1e-9
+# Relative slack on the slant range of the elevation mask: a range is off
+# by ~1e-12 relative, so no satellite at or above the mask leaves the cone.
+_CONE_MARGIN = 1e-6
+# Most that any link length may change over one block of slots sharing a
+# LinkCandidates set, km. With 1 s slots a block is 10 slots; slots longer
+# than BLOCK_MARGIN_KM / (2 v), about 9.9 s, get a block each and no margin.
+BLOCK_MARGIN_KM = 150.0
 
 
 @dataclass(frozen=True)
@@ -171,24 +199,28 @@ class SlotLinks:
     def n_uplinks(self) -> int:
         return sum(len(visible) for visible, _ in self.uplinks)
 
-    def arcs(self, n_stations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(tail, head, dist_km) arrays of the directed links, numbering the
-        stations first and the satellites after them: the n_uplinks station
-        links first (station to satellite only), then each laser link i -> j,
-        then each laser link j -> i."""
-        visible = [v for v, _ in self.uplinks]
-        i = self.isl_i + n_stations
-        j = self.isl_j + n_stations
-        return (np.concatenate([np.full(len(v), s, dtype=np.int32) for s, v in enumerate(visible)]
-                               + [i, j]),
-                np.concatenate([v + n_stations for v in visible] + [j, i]),
-                np.concatenate([d for _, d in self.uplinks] + [self.isl_dist_km] * 2))
-
     def edges(self, n_stations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, dist_km) arrays, each link once with i < j: the arcs up to
-        the first laser link's reverse direction."""
+        """(i, j, dist_km) arrays, each link once with i < j: the arcs of
+        directed_arcs up to the first laser link's reverse direction."""
         n = self.n_uplinks + len(self.isl_i)
-        return tuple(a[:n] for a in self.arcs(n_stations))
+        tails, heads = directed_arcs(n_stations, [v for v, _ in self.uplinks],
+                                     self.isl_i, self.isl_j)
+        return (tails[:n], heads[:n],
+                np.concatenate([d for _, d in self.uplinks] + [self.isl_dist_km]))
+
+
+def directed_arcs(
+    n_stations: int, uplinks: Sequence[np.ndarray], isl_i: np.ndarray, isl_j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, head) int32 node numbers of directed links, numbering the
+    stations first and the satellites after them: station s to each
+    satellite of uplinks[s], station by station (station to satellite
+    only), then each laser link i -> j, then each laser link j -> i."""
+    i = isl_i + n_stations
+    j = isl_j + n_stations
+    return (np.concatenate([np.full(len(v), s, dtype=np.int32) for s, v in enumerate(uplinks)]
+                           + [i, j]),
+            np.concatenate([v + n_stations for v in uplinks] + [j, i]))
 
 
 def pair_lengths(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -196,70 +228,160 @@ def pair_lengths(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     rows. Gathers from three 1-D rows run faster than one (N, 3) row
     gather, and the sum x + y + z is np.linalg.norm's, so the result is
     bit-identical to np.linalg.norm(xyz[i] - xyz[j], axis=1)."""
+    # In place: at most three pair-sized arrays are alive at once.
     x, y, z = cols
-    dx = x[i] - x[j]
-    dy = y[i] - y[j]
-    dz = z[i] - z[j]
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
+    dist = x[i]
+    dist -= x[j]
+    dist *= dist
+    for row in (y, z):
+        d = row[i]
+        d -= row[j]
+        d *= d
+        dist += d
+    return np.sqrt(dist, out=dist)
+
+
+def _station_xyz(station: GeodeticPoint, t: float, constants) -> np.ndarray:
+    return geodetic_to_inertial(station, t, constants.earth_radius_km,
+                                constants.earth_rotation_rate)
+
+
+class LinkCandidates:
+    """Every link that can exist at some instant of [t0, t0 + span_s].
+
+    pair_i < pair_j are the candidate laser pairs and cones[s] the candidate
+    satellites of station s, in ascending order, all int32 (see the module
+    docstring for the bounds that size them). at(t) measures the candidates
+    at any t of the block and links_at(t) keeps the links among them.
+    """
+
+    def __init__(
+        self,
+        constellation: Constellation,
+        stations: Sequence[GeodeticPoint],
+        t0: float,
+        span_s: float,
+        params: TopologyParams,
+    ):
+        if not span_s >= 0.0:
+            raise ValueError("span_s must be >= 0")
+        self.constellation = constellation
+        self.stations = tuple(stations)
+        self.params = params
+        self.t0 = t0
+        self.span_s = span_s
+        constants = constellation.constants
+        earth_r = constants.earth_radius_km
+        shell_r = orbit_radius_km(constellation.cfg, constants)
+        speed = orbital_speed_km_s(constellation.cfg, constants)
+
+        # Every satellite lies on one shell of radius r, and a chord of that
+        # shell clears the Earth exactly when it is shorter than the tangent
+        # chord 2 * sqrt(r^2 - R_E^2), about 5,410.47 km at 550 km. Up to that
+        # range nothing can be occluded. Past it, with the occlusion check on,
+        # the reach is the tangent chord plus a relative margin, and only
+        # pairs within that margin of it get the exact segment test. A length
+        # is off by ~1e-12 km against a ~5e-6 km margin, so no pair outside
+        # the band can fall on the wrong side.
+        self.tangent = 2.0 * math.sqrt(max(0.0, shell_r**2 - earth_r**2))
+        self.occlude = params.occlusion_check and params.lisl_range_km > self.tangent
+        self.reach = params.lisl_range_km
+        if self.occlude:
+            self.reach = min(self.reach, self.tangent * (1.0 + _CHORD_MARGIN))
+
+        self._xyz0 = constellation.positions_at(t0)
+        pairs = cKDTree(self._xyz0).query_pairs(
+            r=self.reach * (1.0 + _CHORD_MARGIN) + 2.0 * speed * span_s, output_type="ndarray")
+        self.pair_i = pairs[:, 0].astype(np.int32)
+        self.pair_j = pairs[:, 1].astype(np.int32)
+        del pairs
+
+        # Slant range of a satellite on the shell seen at the mask angle.
+        el = math.radians(params.min_elevation_deg)
+        d_max = math.sqrt(shell_r**2 - (earth_r * math.cos(el)) ** 2) - earth_r * math.sin(el)
+        cone_km = (d_max * (1.0 + _CONE_MARGIN)
+                   + (speed + constants.earth_rotation_rate * earth_r) * span_s)
+        self.cones = tuple(
+            np.flatnonzero(np.linalg.norm(self._xyz0 - _station_xyz(st, t0, constants), axis=1)
+                           <= cone_km).astype(np.int32)
+            for st in self.stations)
+
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
+        """The candidates measured at t, as (isl_dist_km, isl_keep, uplinks):
+        each candidate pair's length and whether it is a link, and for each
+        station (seen, slant_km) over its cone, whether each satellite is at
+        or above the mask and its slant range. t must lie in the block."""
+        if not 0.0 <= t - self.t0 <= self.span_s:
+            raise ValueError(f"t = {t} lies outside the block of {self.span_s} s "
+                             f"from {self.t0}")
+        constants = self.constellation.constants
+        sats_xyz = self._xyz0 if t == self.t0 else self.constellation.positions_at(t)
+        isl_dist = pair_lengths(sats_xyz.T.copy(), self.pair_i, self.pair_j)
+        keep = isl_dist <= self.reach
+        if self.occlude:
+            band = np.flatnonzero(isl_dist >= self.tangent * (1.0 - _CHORD_MARGIN))
+            band = band[keep[band]]
+            if len(band):
+                keep[band] = segments_clear(sats_xyz[self.pair_i[band]],
+                                            sats_xyz[self.pair_j[band]], constants.earth_radius_km)
+        uplinks = []
+        for station, cone in zip(self.stations, self.cones):
+            gs_xyz = _station_xyz(station, t, constants)
+            sats = sats_xyz[cone]
+            uplinks.append((elevation_angles(gs_xyz, sats) >= self.params.min_elevation_deg,
+                            np.linalg.norm(sats - gs_xyz, axis=1)))
+        return isl_dist, keep, tuple(uplinks)
+
+    def links_at(self, t: float) -> SlotLinks:
+        """The links among the candidates at t."""
+        isl_dist, keep, uplinks = self.at(t)
+        return SlotLinks(self.pair_i[keep], self.pair_j[keep], isl_dist[keep],
+                         tuple((cone[seen], slant[seen])
+                               for cone, (seen, slant) in zip(self.cones, uplinks)))
+
+
+def candidate_blocks(
+    constellation: Constellation,
+    stations: Sequence[GeodeticPoint],
+    times: Sequence[float],
+    params: TopologyParams,
+) -> Iterator[tuple[LinkCandidates, Sequence[float]]]:
+    """Split the ascending times into blocks of consecutive times over which
+    no link length can change by more than BLOCK_MARGIN_KM, and yield each
+    block's LinkCandidates with the block's times.
+
+    With times slot_s apart, a block holds K = 1 + floor(BLOCK_MARGIN_KM /
+    (2 v slot_s)) of them, the last block possibly fewer. Each set is built
+    only when the caller asks for it, so a caller that has let go of one
+    never holds two.
+    """
+    longest = BLOCK_MARGIN_KM / (2.0 * orbital_speed_km_s(constellation.cfg,
+                                                          constellation.constants))
+    start = 0
+    while start < len(times):
+        stop = start + 1
+        while stop < len(times) and times[stop] - times[start] <= longest:
+            stop += 1
+        yield (LinkCandidates(constellation, stations, times[start],
+                              times[stop - 1] - times[start], params),
+               times[start:stop])
+        start = stop
 
 
 def slot_links(
     constellation: Constellation,
-    stations: list[GeodeticPoint],
+    stations: Sequence[GeodeticPoint],
     t: float,
     params: TopologyParams,
 ) -> SlotLinks:
-    """Laser pairs within range and station-satellite links above the mask at t.
-
-    Satellite pairs within laser range are found with a KD-tree and
-    optionally filtered by Earth occlusion, by chord length (see the module
-    docstring); each station links to every satellite at or above its
-    elevation mask.
-    """
-    constants = constellation.constants
-    sats_xyz = constellation.positions_at(t)
-
-    # Every satellite lies on one shell of radius r, and a chord of that
-    # shell clears the Earth exactly when it is shorter than the tangent
-    # chord 2 * sqrt(r^2 - R_E^2), about 5,410.47 km at 550 km. Up to that
-    # range nothing can be occluded. Past it, with the occlusion check on,
-    # the KD-tree searches only up to the tangent chord plus a relative
-    # margin, and only pairs within that margin of it get the exact segment
-    # test. A length is off by ~1e-12 km against a ~5e-6 km margin, so no
-    # pair outside the band can fall on the wrong side.
-    shell_r = orbit_radius_km(constellation.cfg, constants)
-    tangent = 2.0 * math.sqrt(max(0.0, shell_r**2 - constants.earth_radius_km**2))
-    occlude = params.occlusion_check and params.lisl_range_km > tangent
-    reach = params.lisl_range_km
-    if occlude:
-        reach = min(reach, tangent * (1.0 + _CHORD_MARGIN))
-    pairs = cKDTree(sats_xyz).query_pairs(r=reach, output_type="ndarray")
-    # Gathers index fastest with the platform's own integer, so the pairs
-    # narrow to int32 only once the lengths are taken.
-    isl_dist = pair_lengths(sats_xyz.T.copy(), pairs[:, 0], pairs[:, 1])
-    if occlude:
-        band = np.flatnonzero(isl_dist >= tangent * (1.0 - _CHORD_MARGIN))
-        if len(band):
-            keep = np.ones(len(pairs), dtype=bool)
-            keep[band] = segments_clear(sats_xyz[pairs[band, 0]], sats_xyz[pairs[band, 1]],
-                                        constants.earth_radius_km)
-            pairs, isl_dist = pairs[keep], isl_dist[keep]
-    pairs = pairs.astype(np.int32)
-
-    uplinks = []
-    for station in stations:
-        gs_xyz = geodetic_to_inertial(
-            station, t, constants.earth_radius_km, constants.earth_rotation_rate
-        )
-        elev = elevation_angles(gs_xyz, sats_xyz)
-        visible = np.flatnonzero(elev >= params.min_elevation_deg).astype(np.int32)
-        uplinks.append((visible, np.linalg.norm(sats_xyz[visible] - gs_xyz, axis=1)))
-    return SlotLinks(pairs[:, 0], pairs[:, 1], isl_dist, tuple(uplinks))
+    """Laser pairs within range and station-satellite links above the mask
+    at t: the links of a one-slot LinkCandidates block."""
+    return LinkCandidates(constellation, stations, t, 0.0, params).links_at(t)
 
 
 def build_snapshot(
     constellation: Constellation,
-    stations: list[GeodeticPoint],
+    stations: Sequence[GeodeticPoint],
     t: float,
     params: TopologyParams,
     slot_index: int = 0,

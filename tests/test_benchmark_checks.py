@@ -1,12 +1,18 @@
-"""The benchmark's own output checks (perfbench/checks.py) on short runs.
+"""The benchmark's own output checks (perfbench/checks.py) and its traced
+runs (perfbench/traced.py) on short runs.
 
 The benchmark imports leolat names that no CLI command needs (the
-snapshot graph and its router among them). Running its checks here makes
-a change that breaks one of those names fail in the test suite, not only
-when the benchmark runs.
+snapshot graph and its router among them), and its tracer replaces some
+of the program's callables with wrappers that accept only the calls the
+program made when the tracer was written. Running both here makes a
+change that breaks one of those names or calls fail in the test suite,
+not only when the benchmark runs.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +21,8 @@ import pytest
 
 from leolat.cli import load_config, main
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import checks  # noqa: E402
 
 RANGES = (1000, 1500, 3000)
@@ -35,3 +42,26 @@ def test_benchmark_checks_pass_on_a_short_run(tmp_path, workload):
     assert main(argv) == 0
     assert checks.artifact_problems(workload, cfg, tmp_path) == []
     assert checks.sample_problems(workload, cfg, tmp_path, seed=0) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--duration", "3"],
+     ["sweep-range", "--duration", "3", "--ranges", "1500,6000"]],
+    ids=lambda argv: argv[0],
+)
+def test_traced_run_completes(tmp_path, argv):
+    # The tracer's KD-tree stand-in takes only the points and query_pairs;
+    # a call the stand-in lacks would fail every traced run.
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans_path), "--",
+         *argv, "--out", str(tmp_path / "out")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    dump = json.loads(spans_path.read_text())
+    assert dump["exit_code"] == 0 and dump["spans"]
+    names = {span[0] for span in dump["spans"]}
+    assert {"topology.pair_search", "geo.elevation", "constellation.propagate"} <= names

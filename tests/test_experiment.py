@@ -16,6 +16,7 @@ from leolat import (
     great_circle_distance,
     oftn_latency,
     run_scenarios,
+    shortest_path,
 )
 from leolat.experiment import EXCHANGE_COORDINATES, chord_bound_ms, compare, summarize
 
@@ -146,6 +147,15 @@ class TestRunScenario:
             run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(),
                           duration_s=10, slot_s=3)
 
+    @pytest.mark.parametrize("horizon", [{"duration_s": True}, {"slot_s": True},
+                                         {"slot_s": "1"}, {"duration_s": None}],
+                             ids=["bool-duration", "bool-slot", "string-slot", "none-duration"])
+    def test_non_numbers_rejected(self, default_cfg, horizon):
+        # True would otherwise route one slot; "1" fail with a TypeError.
+        (name,) = horizon
+        with pytest.raises(ValueError, match=name):
+            run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(), **horizon)
+
     def test_fully_unreachable_summary(self):
         # A 2x2 shell leaves hemisphere-sized gaps; stations in opposite
         # gaps never both see a satellite, let alone a connected path.
@@ -220,6 +230,35 @@ class TestSlotEngine:
                                               (graph.edge_dist_km / km_per_s).tolist()))
                 expected = nx.dijkstra_path_length(g, graph.index_of(src), graph.index_of(dst))
                 assert r.route.total_latency_s == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "params,slot_s,duration_s",
+        [
+            # 1 s slots share candidates in blocks of 10: with 2 workers the
+            # second worker's first block starts at slot 12 (t = 11 s).
+            (TopologyParams(min_elevation_deg=30.0), 1, 23),
+            # Blocks of 4 slots past the occlusion threshold; the second
+            # worker starts at t = 9 s, three slots into a block.
+            (TopologyParams(lisl_range_km=6000.0, min_elevation_deg=30.0), 3, 21),
+        ],
+        ids=["1500km", "6000km"],
+    )
+    def test_routes_equal_one_slot_reference(self, params, slot_s, duration_s, workers):
+        cfg = ConstellationConfig(phase_factor=11, epoch=777.0)
+        scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
+        runs = run_scenarios(scenarios, cfg, params, duration_s=duration_s, slot_s=slot_s,
+                             workers=workers)
+        constellation = Constellation(cfg)
+        for scenario, (results, _) in zip(scenarios, runs):
+            assert len(results) == duration_s // slot_s
+            for r in results:
+                graph = build_snapshot(constellation, [scenario.src, scenario.dst],
+                                       (r.slot_index - 1) * slot_s, params)
+                reference = shortest_path(graph, NodeRef.ground(scenario.src.label),
+                                          NodeRef.ground(scenario.dst.label))
+                # Node sequence, each hop's latency and the total.
+                assert r.route == reference, (scenario.name, r.slot_index)
 
     def test_worker_counts_agree(self, default_cfg):
         scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]

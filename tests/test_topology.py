@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import adjacency, brute_force_edge_set, edge_set, snapshot_from_edges
 from leolat import (
     CONSTANTS,
+    Constellation,
     ConstellationConfig,
     GeodeticPoint,
     NodeRef,
@@ -17,10 +18,18 @@ from leolat import (
     neighbor_census,
     parse_sat_id,
 )
-from leolat.constellation import orbit_radius_km, orbital_period_s
+from leolat.constellation import orbit_radius_km, orbital_period_s, orbital_speed_km_s
 from leolat.geo import elevation_angles
 from leolat.routing import link_latencies
-from leolat.topology import SlotLinks, pair_lengths, plane_link_class, slot_links
+from leolat.topology import (
+    BLOCK_MARGIN_KM,
+    LinkCandidates,
+    SlotLinks,
+    candidate_blocks,
+    pair_lengths,
+    plane_link_class,
+    slot_links,
+)
 
 STATIONS = [GeodeticPoint(40.7, -74.0, "NY"), GeodeticPoint(53.3, -6.3, "Dub")]
 
@@ -230,6 +239,115 @@ class TestCensus:
         none = np.zeros(0, dtype=np.int32)
         links = SlotLinks(none, none, np.zeros(0), ((none, np.zeros(0)),))
         assert (neighbor_census(links, cfg) == np.zeros((12, 4))).all()
+
+
+def link_arrays(links: SlotLinks, n_sats: int) -> list[bytes]:
+    """A SlotLinks as comparable bytes: the laser pairs in ascending order
+    with their lengths, then each station's satellites and slant ranges."""
+    key = links.isl_i.astype(np.int64) * n_sats + links.isl_j
+    order = np.argsort(key)
+    return [key[order].tobytes(), links.isl_dist_km[order].tobytes()] + [
+        a.tobytes() for visible, slant in links.uplinks for a in (visible, slant)]
+
+
+def link_labels(links: SlotLinks, shell, stations) -> set[tuple[str, str]]:
+    """A SlotLinks in the form of conftest.edge_set."""
+    ids = shell.sat_ids
+    edges = {(ids[i], ids[j]) for i, j in zip(links.isl_i.tolist(), links.isl_j.tolist())}
+    for station, (visible, _) in zip(stations, links.uplinks):
+        edges.update((station.label, ids[k]) for k in visible.tolist())
+    return edges
+
+
+class TestLinkCandidates:
+    # The orbital speed of the default 550 km shell on a sparser grid:
+    # blocks as long as the default's, cheap enough to check every slot of
+    # an orbit.
+    ORBIT_SHELL = ConstellationConfig(num_planes=8, sats_per_plane=12, phase_factor=3)
+
+    @pytest.mark.parametrize("occlusion_check", [True, False], ids=["occlusion", "no-occlusion"])
+    @pytest.mark.parametrize("lisl_range_km", [1500.0, 6000.0])
+    @pytest.mark.parametrize("slot_s", [1, 2, 7, 60])
+    def test_blocks_equal_one_slot_links_over_an_orbit(self, slot_s, lisl_range_km,
+                                                       occlusion_check):
+        shell = Constellation(self.ORBIT_SHELL)
+        params = TopologyParams(lisl_range_km=lisl_range_km, occlusion_check=occlusion_check)
+        period = orbital_period_s(shell.cfg, shell.constants)
+        times = [float(k * slot_s) for k in range(math.ceil(period / slot_s) + 1)]
+        k_slots = 1 + math.floor(BLOCK_MARGIN_KM / (2.0 * orbital_speed_km_s(shell.cfg) * slot_s))
+        assert k_slots == {1: 10, 2: 5, 7: 2, 60: 1}[slot_s]
+        seen = []
+        for candidates, block in candidate_blocks(shell, STATIONS, times, params):
+            assert len(block) == k_slots or block[-1] == times[-1]
+            for t in block:
+                assert link_arrays(candidates.links_at(t), len(shell)) == link_arrays(
+                    slot_links(shell, STATIONS, t, params), len(shell)), t
+            seen += block
+        assert seen == times
+
+    @pytest.mark.parametrize("occlusion_check", [True, False], ids=["occlusion", "no-occlusion"])
+    def test_blocks_match_all_pairs_scan(self, small_constellation, occlusion_check):
+        times = [float(t) for t in range(0, 120, 1)] + [float(t) for t in range(2000, 2400, 7)]
+        for r in (1500.0, 3000.0, 6000.0):
+            params = TopologyParams(lisl_range_km=r, occlusion_check=occlusion_check)
+            for candidates, block in candidate_blocks(small_constellation, STATIONS, times,
+                                                      params):
+                for t in block:
+                    assert link_labels(candidates.links_at(t), small_constellation, STATIONS) \
+                        == brute_force_edge_set(small_constellation, STATIONS, t, params), (t, r)
+
+    def test_measuring_outside_the_block_is_refused(self, small_constellation):
+        candidates = LinkCandidates(small_constellation, STATIONS, 10.0, 5.0, TopologyParams())
+        candidates.at(15.0)
+        for t in (9.0, 15.5):
+            with pytest.raises(ValueError, match="outside the block"):
+                candidates.at(t)
+
+
+class TestOneInRangePredicate:
+    """Links are exactly the pairs with pair_lengths <= reach and the
+    satellites with elevation >= mask, however close to the boundary: the
+    KD-tree and the station cones only narrow the search."""
+
+    T = 100.0
+
+    def blocks(self, constellation, stations, params):
+        # A one-slot set at T, and a block that covers T in its middle.
+        return (LinkCandidates(constellation, stations, self.T, 0.0, params),
+                LinkCandidates(constellation, stations, self.T - 4.0, 9.0, params))
+
+    def test_laser_pairs_at_the_reach(self, default_constellation):
+        xyz = default_constellation.positions_at(self.T)
+        n = len(xyz)
+        i, j = np.triu_indices(n, 1)
+        lengths = pair_lengths(xyz.T.copy(), i, j)
+        keys = i.astype(np.int64) * n + j
+        for k in np.argsort(np.abs(lengths - 1500.0))[:8]:
+            for reach in (lengths[k], np.nextafter(lengths[k], 0.0),
+                          np.nextafter(lengths[k], np.inf)):
+                params = TopologyParams(lisl_range_km=float(reach))
+                expected = keys[lengths <= reach]
+                for candidates in self.blocks(default_constellation, [], params):
+                    links = candidates.links_at(self.T)
+                    got = np.sort(links.isl_i.astype(np.int64) * n + links.isl_j)
+                    assert np.array_equal(got, expected)
+
+    def test_station_links_at_the_mask(self, default_constellation):
+        xyz = default_constellation.positions_at(self.T)
+        for station in STATIONS:
+            gs = geodetic_to_inertial(station, self.T)
+            elev = elevation_angles(gs, xyz)
+            near = np.flatnonzero((elev > 5.0) & (elev < 60.0))
+            assert len(near) >= 4
+            for k in near[:4]:
+                for mask in (elev[k], np.nextafter(elev[k], 0.0), np.nextafter(elev[k], 90.0)):
+                    params = TopologyParams(min_elevation_deg=float(mask))
+                    expected = np.flatnonzero(elev >= mask)
+                    for candidates in self.blocks(default_constellation, [station], params):
+                        ((visible, slant),) = candidates.links_at(self.T).uplinks
+                        assert visible.tolist() == expected.tolist()
+                        assert slant.tobytes() == np.linalg.norm(xyz[expected] - gs,
+                                                                 axis=1).tobytes()
 
 
 class TestFromEdgeList:
