@@ -26,7 +26,6 @@ from .routing import Route, shortest_path
 from .experiment import (
     Scenario,
     ScenarioSummary,
-    SlotResult,
     builtin_scenarios,
     chord_bound_ms,
     oftn_latency,
@@ -43,7 +42,6 @@ __all__ = [
     "Route",
     "Scenario",
     "ScenarioSummary",
-    "SlotResult",
     "SnapshotGraph",
     "TopologyParams",
     "build_snapshot",

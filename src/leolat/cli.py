@@ -32,9 +32,9 @@ from .experiment import (
     REPRODUCTION_MIN_ELEVATION_DEG,
     REPRODUCTION_PHASE_FACTOR,
     Scenario,
-    SlotResult,
     _SlotEngine,
     builtin_scenarios,
+    compare,
     oftn_latency,
     run_scenarios,
     slot_count,
@@ -47,6 +47,7 @@ from .geo import (
     great_circle_distance,
     inertial_to_geodetic,
 )
+from .routing import Route
 from .topology import TopologyParams
 
 log = logging.getLogger("leolat")
@@ -131,9 +132,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     if not isinstance(doc, dict):
         raise CliError(f"config {path} must be a mapping")
 
-    known = {"constellation", "topology", "constants", "scenarios",
-             "duration_s", "slot_s", "out_dir", "formats"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown, key=str)}")
 
@@ -231,33 +230,21 @@ def _summary_record(summary) -> dict:
         )
     else:
         owsn_ms = round4(summary.owsn_avg_latency_ms)
+        improvement_ms, improvement_pct = compare(owsn_ms, oftn_ms)
         rec.update(
             owsn_avg_latency_ms=owsn_ms,
             owsn_min_ms=round4(summary.owsn_min_ms),
             owsn_max_ms=round4(summary.owsn_max_ms),
-            improvement_ms=oftn_ms - owsn_ms,
-            improvement_pct=100.0 * (oftn_ms - owsn_ms) / oftn_ms,
+            improvement_ms=improvement_ms,
+            improvement_pct=improvement_pct,
         )
     return rec
 
 
 def _config_record(cfg: RunConfig) -> dict:
-    rec = {
-        "constellation": dataclasses.asdict(cfg.constellation),
-        "topology": dataclasses.asdict(cfg.topology),
-        "constants": dataclasses.asdict(cfg.constants),
-        "scenarios": [
-            {
-                "name": s.name,
-                "src": dataclasses.asdict(s.src),
-                "dst": dataclasses.asdict(s.dst),
-            }
-            for s in cfg.scenarios
-        ],
-        "duration_s": cfg.duration_s,
-        "slot_s": cfg.slot_s,
-        "formats": list(cfg.formats),
-    }
+    """The run's config as load_config reads it, less out_dir."""
+    rec = dataclasses.asdict(cfg)
+    del rec["out_dir"]
     return rec
 
 
@@ -265,15 +252,15 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_slots_csv(path: Path, results: list[SlotResult]) -> None:
+def _write_slots_csv(path: Path, routes: list[Route | None]) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["slot", "latency_ms", "path"])
-        for r in results:
-            if r.route is None:
-                w.writerow([r.slot_index, "", ""])
+        for k, route in enumerate(routes, start=1):
+            if route is None:
+                w.writerow([k, "", ""])
             else:
-                w.writerow([r.slot_index, f"{r.latency_ms:.4f}", "|".join(r.route.labels())])
+                w.writerow([k, f"{route.total_latency_s * 1000.0:.4f}", "|".join(route.labels())])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -284,7 +271,6 @@ def cmd_run(cfg: RunConfig, workers: int) -> int:
     if len(set(slugs)) != len(slugs):
         raise CliError("scenario names collide after slugification; rename them")
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
     runs = run_scenarios(
@@ -296,19 +282,18 @@ def cmd_run(cfg: RunConfig, workers: int) -> int:
         workers=workers,
         constants=cfg.constants,
     )
-    per_scenario = [(scenario, results, summary)
-                    for scenario, (results, summary) in zip(cfg.scenarios, runs)]
-    for scenario, _, summary in per_scenario:
+    for scenario, (_, summary) in zip(cfg.scenarios, runs):
         log.info("%s: %d slots, %d unreachable",
                  scenario.name, summary.slots, summary.unreachable_slots)
     log.info("routed %d scenarios in %.1f s wall", len(runs), time.perf_counter() - t0)
 
     written: list[Path] = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         if "csv" in cfg.formats:
-            for scenario, results, _ in per_scenario:
-                path = out_dir / f"{slugify(scenario.name)}_slots.csv"
-                _write_slots_csv(path, results)
+            for slug, (routes, _) in zip(slugs, runs):
+                path = out_dir / f"{slug}_slots.csv"
+                _write_slots_csv(path, routes)
                 written.append(path)
         if "json" in cfg.formats:
             path = out_dir / "summary.json"
@@ -317,7 +302,7 @@ def cmd_run(cfg: RunConfig, workers: int) -> int:
                 {
                     "version": __version__,
                     "config": _config_record(cfg),
-                    "scenarios": [_summary_record(s) for _, _, s in per_scenario],
+                    "scenarios": [_summary_record(s) for _, s in runs],
                 },
             )
             written.append(path)
@@ -341,14 +326,11 @@ def cmd_distances(cfg: RunConfig) -> int:
 def cmd_sweep_range(cfg: RunConfig, ranges: list[float], workers: int) -> int:
     if not ranges:
         raise CliError("at least one LISL range is required")
-    if any(r <= 0 for r in ranges):
-        raise CliError("LISL ranges must be > 0")
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "sweep_range.csv"
+    # Every range is checked before any is routed.
+    variants = [dataclasses.replace(cfg.topology, lisl_range_km=r) for r in ranges]
+    path = Path(cfg.out_dir) / "sweep_range.csv"
     rows = []
-    for lisl_range in ranges:
-        params = dataclasses.replace(cfg.topology, lisl_range_km=lisl_range)
+    for params in variants:
         runs = run_scenarios(
             cfg.scenarios, cfg.constellation, params,
             duration_s=cfg.duration_s, slot_s=cfg.slot_s,
@@ -356,10 +338,12 @@ def cmd_sweep_range(cfg: RunConfig, ranges: list[float], workers: int) -> int:
         )
         for scenario, (_, summary) in zip(cfg.scenarios, runs):
             avg = "" if summary.owsn_avg_latency_ms is None else f"{summary.owsn_avg_latency_ms:.4f}"
-            rows.append([scenario.name, f"{lisl_range:g}", avg, summary.unreachable_slots])
+            rows.append([scenario.name, f"{params.lisl_range_km:g}", avg,
+                         summary.unreachable_slots])
             log.info("range %g km, %s: avg %s ms, %d unreachable",
-                     lisl_range, scenario.name, avg or "n/a", summary.unreachable_slots)
+                     params.lisl_range_km, scenario.name, avg or "n/a", summary.unreachable_slots)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["scenario", "lisl_range_km", "avg_latency_ms", "unreachable_slots"])
@@ -483,12 +467,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         if args.command == "run":
-            return cmd_run(cfg, workers=max(1, args.workers))
+            return cmd_run(cfg, workers=args.workers)
         if args.command == "distances":
             return cmd_distances(cfg)
         if args.command == "sweep-range":
             ranges = [float(r) for r in args.ranges.split(",") if r.strip()]
-            return cmd_sweep_range(cfg, ranges, workers=max(1, args.workers))
+            return cmd_sweep_range(cfg, ranges, workers=args.workers)
         if args.command == "export-geojson":
             return cmd_export_geojson(cfg, args.scenario, args.slot)
         raise CliError(f"unhandled command {args.command!r}")  # pragma: no cover

@@ -12,8 +12,9 @@ every output independent of worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
-import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -22,15 +23,15 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .constellation import Constellation, ConstellationConfig
-from .geo import CONSTANTS, GeodeticPoint, PhysicalConstants, great_circle_distance
-from .routing import Route, csr_layout, distances_from, link_latencies, trace_route
-from .topology import (
-    LinkCandidates,
-    NodeRef,
-    TopologyParams,
-    candidate_blocks,
-    directed_arcs,
+from .geo import (
+    CONSTANTS,
+    GeodeticPoint,
+    PhysicalConstants,
+    check_number,
+    great_circle_distance,
 )
+from .routing import Route, csr_layout, distances_from, link_latencies, trace_route
+from .topology import LinkCandidates, NodeRef, TopologyParams, candidate_blocks
 
 # Reproduction defaults. Neither the shell's inter-plane phasing nor the
 # ground elevation mask is pinned down by the published constellation
@@ -65,17 +66,6 @@ class Scenario:
     def __post_init__(self):
         if self.src.label == self.dst.label:
             raise ValueError("src and dst must be distinct stations")
-
-
-@dataclass(frozen=True)
-class SlotResult:
-    slot_index: int  # 1-based
-    route: Route | None
-    latency_ms: float | None
-
-    @property
-    def reachable(self) -> bool:
-        return self.route is not None
 
 
 @dataclass(frozen=True)
@@ -123,13 +113,13 @@ def compare(owsn_avg_ms: float, oftn_ms: float) -> tuple[float, float]:
 
 def summarize(
     scenario: Scenario,
-    slot_results: list[SlotResult],
+    routes: Sequence[Route | None],
     constants: PhysicalConstants = CONSTANTS,
 ) -> ScenarioSummary:
-    """Aggregate slot results against the fiber baseline."""
+    """Aggregate each slot's route latency against the fiber baseline."""
     distance = great_circle_distance(scenario.src, scenario.dst, constants.earth_radius_km)
     baseline_ms = oftn_latency(distance, constants)
-    reachable = [r.latency_ms for r in slot_results if r.latency_ms is not None]
+    reachable = [r.total_latency_s * 1000.0 for r in routes if r is not None]
     if reachable:
         avg = sum(reachable) / len(reachable)
         improvement_ms, improvement_pct = compare(avg, baseline_ms)
@@ -140,8 +130,8 @@ def summarize(
         name=scenario.name,
         oftn_distance_km=distance,
         oftn_latency_ms=baseline_ms,
-        slots=len(slot_results),
-        unreachable_slots=len(slot_results) - len(reachable),
+        slots=len(routes),
+        unreachable_slots=len(routes) - len(reachable),
         owsn_avg_latency_ms=avg,
         owsn_min_ms=owsn_min,
         owsn_max_ms=owsn_max,
@@ -152,11 +142,8 @@ def summarize(
 
 def slot_count(duration_s: float, slot_s: float) -> int:
     """Number of slots in the horizon; slot_s must divide duration_s."""
-    for name, value in (("duration_s", duration_s), ("slot_s", slot_s)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(slot_s) and math.isfinite(duration_s)):
-        raise ValueError("slot_s and duration_s must be finite")
+    check_number("duration_s", duration_s)
+    check_number("slot_s", slot_s)
     if slot_s <= 0 or duration_s < 0:
         raise ValueError("slot_s must be > 0 and duration_s >= 0")
     n_slots = round(duration_s / slot_s)
@@ -218,18 +205,14 @@ class _SlotEngine:
     def _layout(self, candidates: LinkCandidates) -> tuple[csr_matrix, np.ndarray]:
         """The block's graph, its data still unset, and for each entry of the
         satellite rows the candidate pair whose latency it holds."""
-        n = len(self.nodes)
-        n_uplinks = sum(len(cone) for cone in candidates.cones)
-        order, indptr, indices = csr_layout(n, *directed_arcs(
-            len(self.stations), candidates.cones, candidates.pair_i, candidates.pair_j))
-        # Station rows come first and keep the arcs' order; the arcs after
-        # them are each candidate pair i -> j, then each pair j -> i.
-        n_pairs = len(candidates.pair_i)
-        pair_of = order[n_uplinks:]
-        pair_of -= n_uplinks
-        pair_of[pair_of >= n_pairs] -= n_pairs
-        return (csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n)),
-                pair_of.astype(np.int32))
+        n_st, n = len(self.stations), len(self.nodes)
+        pair_of, indptr, sat_heads = csr_layout(n, candidates.pair_i + n_st,
+                                                candidates.pair_j + n_st)
+        # The station rows, empty so far, hold each station's cone in turn.
+        indptr[1:n_st + 1] = np.cumsum([len(cone) for cone in candidates.cones])
+        indptr[n_st + 1:] += indptr[n_st]
+        indices = np.concatenate([cone + n_st for cone in candidates.cones] + [sat_heads])
+        return csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n)), pair_of
 
     def _route(self, graph: csr_matrix, pair_of: np.ndarray, isl_dist_km: np.ndarray,
                isl_keep: np.ndarray, uplinks) -> list[Route | None]:
@@ -259,26 +242,11 @@ def _route_block(
     cfg: ConstellationConfig,
     params: TopologyParams,
     scenarios: Sequence[Scenario],
-    slot_indices: range,
-    slot_s: float,
     constants: PhysicalConstants,
-) -> list[list[SlotResult]]:
-    """Per-scenario results over a contiguous block of slots."""
-    engine = _SlotEngine(cfg, params, scenarios, constants)
-    per_scenario: list[list[SlotResult]] = [[] for _ in scenarios]
-    times = [(k - 1) * slot_s for k in slot_indices]
-    for k, routes in zip(slot_indices, engine.route_slots(times)):
-        for results, route in zip(per_scenario, routes):
-            results.append(SlotResult(
-                slot_index=k,
-                route=route,
-                latency_ms=route.total_latency_s * 1000.0 if route else None,
-            ))
-    return per_scenario
-
-
-def _route_block_star(args) -> list[list[SlotResult]]:
-    return _route_block(*args)
+    times: Sequence[float],
+) -> list[list[Route | None]]:
+    """Each scenario's route at each of the ascending times, one list per time."""
+    return list(_SlotEngine(cfg, params, scenarios, constants).route_slots(times))
 
 
 def run_scenarios(
@@ -289,32 +257,35 @@ def run_scenarios(
     slot_s: float = 1,
     workers: int = 1,
     constants: PhysicalConstants = CONSTANTS,
-) -> list[tuple[list[SlotResult], ScenarioSummary]]:
-    """Per-slot routes and the summary of each scenario, in scenario order.
+) -> list[tuple[list[Route | None], ScenarioSummary]]:
+    """Each scenario's route per slot (None where it has none) and its
+    summary, in scenario order; slot k (1-based) is at index k-1.
 
-    Slot k (1-based) is evaluated at t = (k-1)*slot_s seconds past epoch;
-    slot_s must divide duration_s. Each slot's graph is built once for all
-    scenarios. With workers > 1, contiguous slot blocks run in separate
-    processes and are merged back in slot order.
+    Slot k is evaluated at t = (k-1)*slot_s seconds past epoch; slot_s must
+    divide duration_s. Each slot's graph is built once for all scenarios.
+    With workers > 1, the slots are cut into that many contiguous chunks,
+    routed by a process pool of at most one process per core and merged
+    back in slot order.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n_slots = slot_count(duration_s, slot_s)
-    per_scenario: list[list[SlotResult]] = [[] for _ in scenarios]
+    times = [(k - 1) * slot_s for k in range(1, n_slots + 1)]
+    per_slot: list[list[Route | None]] = []
     if n_slots and scenarios:
-        if workers <= 1 or n_slots < 2 * workers:
-            per_scenario = _route_block(cfg, params, scenarios, range(1, n_slots + 1),
-                                        slot_s, constants)
+        if workers == 1 or n_slots < 2 * workers:
+            per_slot = _route_block(cfg, params, scenarios, constants, times)
         else:
-            bounds = [1 + (n_slots * w) // workers for w in range(workers + 1)]
-            chunks = [range(bounds[w], bounds[w + 1]) for w in range(workers)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(
-                    _route_block_star,
-                    [(cfg, params, scenarios, chunk, slot_s, constants) for chunk in chunks],
-                ):
-                    for results, block in zip(per_scenario, part):
-                        results.extend(block)
-    return [(results, summarize(sc, results, constants))
-            for sc, results in zip(scenarios, per_scenario)]
+            bounds = [(n_slots * w) // workers for w in range(workers + 1)]
+            chunks = [times[bounds[w]:bounds[w + 1]] for w in range(workers)]
+            with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+                for part in pool.map(_route_block, itertools.repeat(cfg), itertools.repeat(params),
+                                     itertools.repeat(scenarios), itertools.repeat(constants),
+                                     chunks):
+                    per_slot.extend(part)
+    per_scenario = [[slot[q] for slot in per_slot] for q in range(len(scenarios))]
+    return [(routes, summarize(sc, routes, constants))
+            for sc, routes in zip(scenarios, per_scenario)]
 
 
 def chord_bound_ms(

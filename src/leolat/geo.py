@@ -18,24 +18,31 @@ import numpy as np
 Vec3 = np.ndarray  # shape (3,), km, ECI frame
 
 
-_FIELD_KINDS = {"float": (numbers.Real, "a number"), "int": (int, "an integer"),
-                "bool": (bool, "true or false")}
+_FIELD_KINDS = {"int": (int, "an integer"), "bool": (bool, "true or false")}
+
+
+def check_number(name: str, value) -> None:
+    """Raise ValueError naming the field unless value is a finite real
+    number. Neither a bool nor a string passes for a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def check_fields(obj) -> None:
     """Raise ValueError naming the field unless every float field of a
-    dataclass holds a finite real number, every int field an int and every
-    bool field a bool. Neither a bool nor a string passes for a number."""
+    dataclass passes check_number, every int field holds an int and every
+    bool field a bool."""
     for f in dataclasses.fields(obj):
-        kind = _FIELD_KINDS.get(getattr(f.type, "__name__", f.type))
-        if kind is None:
-            continue
+        kind = getattr(f.type, "__name__", f.type)
         value = getattr(obj, f.name)
-        cls, what = kind
-        if not isinstance(value, cls) or (cls is not bool and isinstance(value, bool)):
-            raise ValueError(f"{f.name} must be {what}, got {value!r}")
-        if cls is numbers.Real and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        if kind == "float":
+            check_number(f.name, value)
+        elif kind in _FIELD_KINDS:
+            cls, what = _FIELD_KINDS[kind]
+            if not isinstance(value, cls) or (cls is int and isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -49,29 +49,24 @@ def link_latencies(
 
 
 def csr_layout(
-    n_nodes: int, tails: np.ndarray, heads: np.ndarray
+    n_nodes: int, edge_i: np.ndarray, edge_j: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, indptr, indices) of a CSR matrix holding one directed edge
-    tail -> head per entry: entry k of the matrix is input arc order[k].
+    """(edge_of, indptr, indices), all int32, of a CSR matrix holding each
+    edge edge_i[k] - edge_j[k] in both directions: entry m of the matrix is
+    a direction of edge edge_of[m].
 
-    Entries are grouped by tail with a stable sort, so within a row they
-    keep their order in the input arrays. The tails are sorted as the
-    narrowest unsigned type that holds every node number: for up to 65,536
-    nodes that is 16 bits, which numpy sorts stably by radix sort.
+    The arcs are each edge i -> j, then each edge j -> i, grouped by tail
+    with a stable sort, so within a row they keep that order. The tails are
+    sorted as the narrowest unsigned type that holds every node number: for
+    up to 65,536 nodes that is 16 bits, which numpy sorts stably by radix
+    sort.
     """
+    tails = np.concatenate([edge_i, edge_j])
     order = np.argsort(tails.astype(np.min_scalar_type(n_nodes)), kind="stable")
     indptr = np.zeros(n_nodes + 1, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=n_nodes), out=indptr[1:])
-    return order, indptr, heads[order].astype(np.int32, copy=False)
-
-
-def directed_graph(
-    n_nodes: int, tails: np.ndarray, heads: np.ndarray, latencies_s: np.ndarray
-) -> csr_matrix:
-    """CSR matrix holding one directed edge tail -> head of the given
-    latency per entry, laid out by csr_layout."""
-    order, indptr, indices = csr_layout(n_nodes, tails, heads)
-    return csr_matrix((latencies_s[order], indices, indptr), shape=(n_nodes, n_nodes))
+    indices = np.concatenate([edge_j, edge_i])[order].astype(np.int32, copy=False)
+    return np.remainder(order, len(edge_i), out=order).astype(np.int32), indptr, indices
 
 
 def distances_from(graph: csr_matrix, sources) -> np.ndarray:
@@ -153,12 +148,9 @@ def shortest_path(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> Route | N
     i_src = graph.index_of(src)
     i_dst = graph.index_of(dst)
 
+    n = graph.n_nodes
+    edge_of, indptr, indices = csr_layout(n, graph.edge_i, graph.edge_j)
     lat = link_latencies(graph.edge_dist_km, graph.c_vacuum)
-    csr = directed_graph(
-        graph.n_nodes,
-        np.concatenate([graph.edge_i, graph.edge_j]),
-        np.concatenate([graph.edge_j, graph.edge_i]),
-        np.concatenate([lat, lat]),
-    )
+    csr = csr_matrix((lat[edge_of], indices, indptr), shape=(n, n))
     return trace_route(csr, distances_from(csr, i_dst), i_src, i_dst, graph.node_ref)
 

@@ -98,12 +98,6 @@ class NodeRef:
         # Ground stations order before satellites.
         return (0 if self.kind == "ground" else 1, self.label)
 
-    def __lt__(self, other: "NodeRef") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __str__(self) -> str:
-        return self.label
-
 
 @dataclass(frozen=True)
 class TopologyParams:
@@ -195,32 +189,16 @@ class SlotLinks:
     isl_dist_km: np.ndarray
     uplinks: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    @property
-    def n_uplinks(self) -> int:
-        return sum(len(visible) for visible, _ in self.uplinks)
-
     def edges(self, n_stations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, dist_km) arrays, each link once with i < j: the arcs of
-        directed_arcs up to the first laser link's reverse direction."""
-        n = self.n_uplinks + len(self.isl_i)
-        tails, heads = directed_arcs(n_stations, [v for v, _ in self.uplinks],
-                                     self.isl_i, self.isl_j)
-        return (tails[:n], heads[:n],
+        """(i, j, dist_km) arrays, each link once with i < j, numbering the
+        stations first and the satellites after them: each station's
+        uplinks, station by station, then the laser links."""
+        return (np.concatenate([np.full(len(v), s, dtype=np.int32)
+                                for s, (v, _) in enumerate(self.uplinks)]
+                               + [self.isl_i + n_stations]),
+                np.concatenate([v + n_stations for v, _ in self.uplinks]
+                               + [self.isl_j + n_stations]),
                 np.concatenate([d for _, d in self.uplinks] + [self.isl_dist_km]))
-
-
-def directed_arcs(
-    n_stations: int, uplinks: Sequence[np.ndarray], isl_i: np.ndarray, isl_j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tail, head) int32 node numbers of directed links, numbering the
-    stations first and the satellites after them: station s to each
-    satellite of uplinks[s], station by station (station to satellite
-    only), then each laser link i -> j, then each laser link j -> i."""
-    i = isl_i + n_stations
-    j = isl_j + n_stations
-    return (np.concatenate([np.full(len(v), s, dtype=np.int32) for s, v in enumerate(uplinks)]
-                           + [i, j]),
-            np.concatenate([v + n_stations for v in uplinks] + [j, i]))
 
 
 def pair_lengths(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
+from leolat import cli
 from leolat.cli import CliError, load_config, main, round4, slugify
 from leolat.experiment import builtin_scenarios
 
@@ -80,6 +82,40 @@ class TestRun:
         for name in files_a:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--duration", "2", "--workers", workers]) == 1
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("custom", [False, True], ids=["default", "custom"])
+    def test_config_echo_loads_back_to_the_run_config(self, tmp_path, custom):
+        argv = ["run", "--out", str(tmp_path / "out"), "--duration", "2"]
+        if custom:
+            p = tmp_path / "custom.yaml"
+            p.write_text(
+                "constellation: {num_planes: 6, sats_per_plane: 8, altitude_km: 700.0,\n"
+                "                inclination_deg: 60.0, phase_factor: 1}\n"
+                "topology: {lisl_range_km: 4000.0, min_elevation_deg: 20.0}\n"
+                "formats: [json]\n"
+                "scenarios:\n"
+                "  - name: one\n"
+                "    src: {latitude_deg: 10.5, longitude_deg: 200.0, label: a}\n"
+                "    dst: {latitude_deg: -20.25, longitude_deg: 30.0, label: b}\n"
+                "  - name: two\n"
+                "    src: {latitude_deg: -20.25, longitude_deg: 30.0, label: b}\n"
+                "    dst: {latitude_deg: 45.0, longitude_deg: -60.0, label: c}\n"
+            )
+            argv += ["--config", str(p)]
+        expected = dataclasses.replace(load_config(argv[-1] if custom else None),
+                                       duration_s=2.0, out_dir=str(tmp_path / "out"))
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        echo = tmp_path / "echo.yaml"
+        echo.write_text(json.dumps(doc["config"] | {"out_dir": expected.out_dir}))
+        assert load_config(echo) == expected
+
     def test_phase_factor_override_recorded_in_config_echo(self, tmp_path):
         out = tmp_path / "pf"
         assert main(["run", "--out", str(out), "--duration", "2", "--phase-factor", "7"]) == 0
@@ -132,6 +168,24 @@ class TestSweepRange:
         assert main(["sweep-range", "--out", str(tmp_path), "--ranges", ""]) == 1
         assert "range" in capsys.readouterr().err
         assert main(["sweep-range", "--out", str(tmp_path), "--ranges", "-5"]) == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_range_rejected_before_any_routing(self, tmp_path, monkeypatch,
+                                                           capsys, bad):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cli_run_scenarios(*args, **kwargs)
+
+        cli_run_scenarios = cli.run_scenarios
+        monkeypatch.setattr(cli, "run_scenarios", counting)
+        out = tmp_path / "out"
+        assert main(["sweep-range", "--out", str(out), "--duration", "2",
+                     "--ranges", f"1000,{bad}"]) == 1
+        assert "lisl_range_km must be finite" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_average_latency_non_increasing_in_range(self, tmp_path):
         out = tmp_path / "mono"

@@ -1,9 +1,11 @@
 import math
+import os
 
 import networkx as nx
 import pytest
 
 from conftest import heap_route
+from leolat import experiment
 from leolat import (
     Constellation,
     ConstellationConfig,
@@ -77,38 +79,42 @@ class TestBuiltinScenarios:
 @pytest.fixture(scope="module")
 def short_run(default_cfg):
     scenario = builtin_scenarios()[0]
-    results, summary = run_scenarios(
+    routes, summary = run_scenarios(
         [scenario], default_cfg, TopologyParams(), duration_s=30, slot_s=1
     )[0]
-    return scenario, results, summary
+    return scenario, routes, summary
+
+
+def latency_ms(route):
+    return route.total_latency_s * 1000.0
 
 
 class TestRunScenario:
     def test_slot_count_and_order(self, short_run):
-        _, results, summary = short_run
-        assert [r.slot_index for r in results] == list(range(1, 31))
+        # Slot k is the route at index k - 1.
+        _, routes, summary = short_run
+        assert len(routes) == 30
         assert summary.slots == 30
 
     def test_routes_start_and_end_at_the_ground(self, short_run):
-        _, results, _ = short_run
-        for r in results:
-            if r.route is None:
+        _, routes, _ = short_run
+        for route in routes:
+            if route is None:
                 continue
-            assert r.route.nodes[0].label == "New York"
-            assert r.route.nodes[-1].label == "Dublin"
-            assert all(not n.is_ground for n in r.route.nodes[1:-1])
-            assert r.latency_ms == pytest.approx(r.route.total_latency_s * 1000.0, rel=1e-15)
+            assert route.nodes[0].label == "New York"
+            assert route.nodes[-1].label == "Dublin"
+            assert all(not n.is_ground for n in route.nodes[1:-1])
 
     def test_chord_bound_holds_per_slot(self, short_run):
-        scenario, results, _ = short_run
+        scenario, routes, _ = short_run
         bound = chord_bound_ms(scenario.src, scenario.dst)
-        for r in results:
-            if r.latency_ms is not None:
-                assert r.latency_ms >= bound
+        for route in routes:
+            if route is not None:
+                assert latency_ms(route) >= bound
 
     def test_summary_consistency(self, short_run):
-        _, results, summary = short_run
-        reachable = [r.latency_ms for r in results if r.latency_ms is not None]
+        _, routes, summary = short_run
+        reachable = [latency_ms(r) for r in routes if r is not None]
         assert summary.unreachable_slots == 30 - len(reachable)
         if reachable:
             assert summary.owsn_avg_latency_ms == pytest.approx(
@@ -125,19 +131,19 @@ class TestRunScenario:
     def test_latency_continuity_while_path_is_stable(self, short_run):
         # Satellites move ~7.6 km per slot, so an unchanged node sequence
         # shifts total latency by well under 0.1 ms.
-        _, results, _ = short_run
+        _, routes, _ = short_run
         stable_pairs = 0
-        for prev, cur in zip(results, results[1:]):
-            if prev.route and cur.route and prev.route.labels() == cur.route.labels():
+        for prev, cur in zip(routes, routes[1:]):
+            if prev and cur and prev.labels() == cur.labels():
                 stable_pairs += 1
-                assert abs(cur.latency_ms - prev.latency_ms) < 0.1
+                assert abs(latency_ms(cur) - latency_ms(prev)) < 0.1
         assert stable_pairs > 0
 
     def test_zero_duration(self, default_cfg):
-        results, summary = run_scenarios(
+        routes, summary = run_scenarios(
             builtin_scenarios()[:1], default_cfg, TopologyParams(), duration_s=0
         )[0]
-        assert results == []
+        assert routes == []
         assert summary.slots == 0
         assert summary.owsn_avg_latency_ms is None
         assert summary.improvement_ms is None
@@ -174,9 +180,47 @@ class TestRunScenario:
         seq, _ = run_scenarios([scenario], default_cfg, TopologyParams(), duration_s=8)[0]
         par, _ = run_scenarios([scenario], default_cfg, TopologyParams(), duration_s=8,
                                workers=2)[0]
-        assert [r.slot_index for r in par] == [r.slot_index for r in seq]
-        assert [r.latency_ms for r in par] == [r.latency_ms for r in seq]
-        assert [r.route.labels() for r in par] == [r.route.labels() for r in seq]
+        assert len(par) == len(seq)
+        assert [latency_ms(r) for r in par] == [latency_ms(r) for r in seq]
+        assert [r.labels() for r in par] == [r.labels() for r in seq]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, default_cfg, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(),
+                          duration_s=4, workers=workers)
+
+    def test_pool_never_larger_than_the_core_count(self, default_cfg, monkeypatch):
+        # The pool runs in this process, so no process starts; the cores
+        # are patched to 2, so 8 workers must ask for 2 processes but still
+        # route 8 chunks of slots.
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.tasks = 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
+                    self.tasks += 1
+                    yield fn(*args)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        scenarios = builtin_scenarios()
+        eight = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=16, workers=8)
+        assert [(p.max_workers, p.tasks) for p in pools] == [(2, 8)]
+        one = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=16, workers=1)
+        assert len(pools) == 1
+        assert eight == one
 
 
 def test_summarize_reproduces_reference_baseline_for_builtin_pairs():
@@ -196,8 +240,9 @@ def exchange_pair(a: str, b: str) -> Scenario:
     return Scenario(f"{a}-{b}", point(a), point(b))
 
 
-def route_rows(results):
-    return [(r.slot_index, r.latency_ms, r.route.labels() if r.route else None) for r in results]
+def route_rows(routes):
+    return [(k, latency_ms(r), r.labels()) if r else (k, None, None)
+            for k, r in enumerate(routes, start=1)]
 
 
 class TestSlotEngine:
@@ -216,20 +261,20 @@ class TestSlotEngine:
         runs = run_scenarios(scenarios, cfg, params, duration_s=40, slot_s=20)
         constellation = Constellation(cfg)
         km_per_s = constellation.constants.c_vacuum / 1000.0
-        for scenario, (results, _) in zip(scenarios, runs):
+        for scenario, (routes, _) in zip(scenarios, runs):
             src, dst = NodeRef.ground(scenario.src.label), NodeRef.ground(scenario.dst.label)
-            for r in results:
+            for k, route in enumerate(routes, start=1):
                 graph = build_snapshot(constellation, [scenario.src, scenario.dst],
-                                       (r.slot_index - 1) * 20.0, params)
+                                       (k - 1) * 20.0, params)
                 reference = heap_route(graph, src, dst)
-                assert r.route is not None and reference is not None
-                assert (r.route.labels(), r.route.total_latency_s) == reference
+                assert route is not None and reference is not None
+                assert (route.labels(), route.total_latency_s) == reference
                 # networkx as an independent distance oracle
                 g = nx.Graph()
                 g.add_weighted_edges_from(zip(graph.edge_i.tolist(), graph.edge_j.tolist(),
                                               (graph.edge_dist_km / km_per_s).tolist()))
                 expected = nx.dijkstra_path_length(g, graph.index_of(src), graph.index_of(dst))
-                assert r.route.total_latency_s == pytest.approx(expected, rel=1e-12)
+                assert route.total_latency_s == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -250,15 +295,15 @@ class TestSlotEngine:
         runs = run_scenarios(scenarios, cfg, params, duration_s=duration_s, slot_s=slot_s,
                              workers=workers)
         constellation = Constellation(cfg)
-        for scenario, (results, _) in zip(scenarios, runs):
-            assert len(results) == duration_s // slot_s
-            for r in results:
+        for scenario, (routes, _) in zip(scenarios, runs):
+            assert len(routes) == duration_s // slot_s
+            for k, route in enumerate(routes, start=1):
                 graph = build_snapshot(constellation, [scenario.src, scenario.dst],
-                                       (r.slot_index - 1) * slot_s, params)
+                                       (k - 1) * slot_s, params)
                 reference = shortest_path(graph, NodeRef.ground(scenario.src.label),
                                           NodeRef.ground(scenario.dst.label))
                 # Node sequence, each hop's latency and the total.
-                assert r.route == reference, (scenario.name, r.slot_index)
+                assert route == reference, (scenario.name, k)
 
     def test_worker_counts_agree(self, default_cfg):
         scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
@@ -279,7 +324,7 @@ class TestSlotEngine:
         alone, _ = run_scenarios([a], default_cfg, params, duration_s=20, slot_s=2)[0]
         (together, _), _ = run_scenarios([a, b], default_cfg, params, duration_s=20, slot_s=2)
         assert route_rows(together) == route_rows(alone)
-        assert all(r.route is None for r in together)
+        assert all(r is None for r in together)
 
     def test_shared_stations_route_as_if_alone(self, default_cfg):
         scenarios = [
