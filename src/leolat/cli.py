@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import logging
 import re
@@ -47,7 +48,6 @@ from .geo import (
     great_circle_distance,
     inertial_to_geodetic,
 )
-from .routing import Route
 from .topology import TopologyParams
 
 log = logging.getLogger("leolat")
@@ -76,6 +76,10 @@ class RunConfig:
     def __post_init__(self):
         check_fields(self)
         slot_count(self.duration_s, self.slot_s)
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ValueError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
+        if not self.formats:
+            raise ValueError("formats must name at least one of csv, json")
         unknown = set(self.formats) - {"csv", "json"}
         if unknown:
             raise ValueError(f"unknown output formats: {sorted(unknown)}")
@@ -136,21 +140,18 @@ def load_config(path: str | Path | None) -> RunConfig:
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown, key=str)}")
 
-    # A section that is present merges over the plain type defaults; the
-    # calibrated reproduction values apply only to omitted sections, so a
-    # custom shell never inherits a phasing calibrated for a different one.
-    base = default_run_config()
-    sections = {}
+    # A present section fills its omitted keys from the plain type defaults;
+    # the calibrated reproduction values apply only to omitted sections, so
+    # a custom shell never inherits a phasing calibrated for a different one.
+    fields = {}
     for key, cls in (("constellation", ConstellationConfig), ("topology", TopologyParams),
                      ("constants", PhysicalConstants)):
         if key not in doc:
-            sections[key] = getattr(base, key)
             continue
         section = {} if doc[key] is None else doc[key]
         if not isinstance(section, dict):
             raise CliError(f"config section {key} must be a mapping, got {section!r}")
-        sections[key] = _from_mapping(cls, dataclasses.asdict(cls()) | section, key)
-    scenarios = base.scenarios
+        fields[key] = _from_mapping(cls, section, key)
     if "scenarios" in doc:
         entries = doc["scenarios"]
         if not isinstance(entries, list) or not entries:
@@ -173,31 +174,24 @@ def load_config(path: str | Path | None) -> RunConfig:
         for point in (p for sc in parsed for p in (sc.src, sc.dst)):
             if by_label.setdefault(point.label, point) != point:
                 raise CliError(f"station label {point.label!r} names two different points")
-        scenarios = tuple(parsed)
-
-    out_dir = doc.get("out_dir", base.out_dir)
-    if not isinstance(out_dir, str) or not out_dir:
-        raise CliError(f"out_dir must be a non-empty string, got {out_dir!r}")
-    formats = doc.get("formats", base.formats)
+        fields["scenarios"] = tuple(parsed)
+    # The other keys are RunConfig's own, which checks them itself.
+    fields = doc | fields
     try:
-        return RunConfig(
-            **sections,
-            scenarios=scenarios,
-            duration_s=doc.get("duration_s", base.duration_s),
-            slot_s=doc.get("slot_s", base.slot_s),
-            out_dir=out_dir,
-            formats=(formats,) if isinstance(formats, str) else tuple(formats),
-        )
+        if "formats" in fields:
+            formats = fields["formats"]
+            fields["formats"] = (formats,) if isinstance(formats, str) else tuple(formats)
+        return dataclasses.replace(default_run_config(), **fields)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid config: {exc}") from exc
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "out", None):
+    if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
-    if getattr(args, "duration", None) is not None:
+    if args.duration is not None:
         cfg = dataclasses.replace(cfg, duration_s=args.duration)
-    if getattr(args, "phase_factor", None) is not None:
+    if args.phase_factor is not None:
         cfg = dataclasses.replace(
             cfg,
             constellation=dataclasses.replace(cfg.constellation, phase_factor=args.phase_factor),
@@ -248,69 +242,77 @@ def _config_record(cfg: RunConfig) -> dict:
     return rec
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
-def _write_slots_csv(path: Path, routes: list[Route | None]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["slot", "latency_ms", "path"])
-        for k, route in enumerate(routes, start=1):
-            if route is None:
-                w.writerow([k, "", ""])
-            else:
-                w.writerow([k, f"{route.total_latency_s * 1000.0:.4f}", "|".join(route.labels())])
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_artifacts(out_dir: Path, files: dict[str, str]) -> list[Path]:
+    """Write each named text under out_dir, creating it, and return the
+    paths. If any write fails, every file this call opened is removed."""
+    written: list[Path] = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = out_dir / name
+            with open(path, "w", newline="") as f:
+                written.append(path)
+                f.write(text)
+    except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise CliError(f"cannot write outputs under {out_dir}: {exc}") from exc
+    return written
 
 
 # -- subcommands ---------------------------------------------------------------
+
+
+def _route(cfg: RunConfig, params: TopologyParams, workers: int):
+    """run_scenarios over the run's scenarios, shell and horizon."""
+    return run_scenarios(cfg.scenarios, cfg.constellation, params, duration_s=cfg.duration_s,
+                         slot_s=cfg.slot_s, workers=workers, constants=cfg.constants)
 
 
 def cmd_run(cfg: RunConfig, workers: int) -> int:
     slugs = [slugify(s.name) for s in cfg.scenarios]
     if len(set(slugs)) != len(slugs):
         raise CliError("scenario names collide after slugification; rename them")
+    # summary.json compares each hour average with the rounded baseline.
+    flat = [s.name for s in cfg.scenarios if round4(oftn_latency(great_circle_distance(
+        s.src, s.dst, cfg.constants.earth_radius_km), cfg.constants)) == 0]
+    if flat:
+        raise CliError(f"no fiber baseline to compare with, stations coincide: {', '.join(flat)}")
     out_dir = Path(cfg.out_dir)
     t0 = time.perf_counter()
 
-    runs = run_scenarios(
-        cfg.scenarios,
-        cfg.constellation,
-        cfg.topology,
-        duration_s=cfg.duration_s,
-        slot_s=cfg.slot_s,
-        workers=workers,
-        constants=cfg.constants,
-    )
+    runs = _route(cfg, cfg.topology, workers)
     for scenario, (_, summary) in zip(cfg.scenarios, runs):
         log.info("%s: %d slots, %d unreachable",
                  scenario.name, summary.slots, summary.unreachable_slots)
     log.info("routed %d scenarios in %.1f s wall", len(runs), time.perf_counter() - t0)
 
-    written: list[Path] = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if "csv" in cfg.formats:
-            for slug, (routes, _) in zip(slugs, runs):
-                path = out_dir / f"{slug}_slots.csv"
-                _write_slots_csv(path, routes)
-                written.append(path)
-        if "json" in cfg.formats:
-            path = out_dir / "summary.json"
-            _write_json(
-                path,
-                {
-                    "version": __version__,
-                    "config": _config_record(cfg),
-                    "scenarios": [_summary_record(s) for _, s in runs],
-                },
-            )
-            written.append(path)
-    except OSError as exc:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise CliError(f"cannot write outputs under {out_dir}: {exc}") from exc
-
+    files = {}
+    if "csv" in cfg.formats:
+        for slug, (routes, _) in zip(slugs, runs):
+            files[f"{slug}_slots.csv"] = _csv_text(["slot", "latency_ms", "path"], (
+                [k, "", ""] if route is None else
+                [k, f"{route.total_latency_s * 1000.0:.4f}", "|".join(route.labels())]
+                for k, route in enumerate(routes, start=1)))
+    if "json" in cfg.formats:
+        files["summary.json"] = _json_text({
+            "version": __version__,
+            "config": _config_record(cfg),
+            "scenarios": [_summary_record(s) for _, s in runs],
+        })
+    written = _write_artifacts(out_dir, files)
     log.info("run complete: %d files in %s, %.1f s wall",
              len(written), out_dir, time.perf_counter() - t0)
     return 0
@@ -328,28 +330,17 @@ def cmd_sweep_range(cfg: RunConfig, ranges: list[float], workers: int) -> int:
         raise CliError("at least one LISL range is required")
     # Every range is checked before any is routed.
     variants = [dataclasses.replace(cfg.topology, lisl_range_km=r) for r in ranges]
-    path = Path(cfg.out_dir) / "sweep_range.csv"
     rows = []
     for params in variants:
-        runs = run_scenarios(
-            cfg.scenarios, cfg.constellation, params,
-            duration_s=cfg.duration_s, slot_s=cfg.slot_s,
-            workers=workers, constants=cfg.constants,
-        )
+        runs = _route(cfg, params, workers)
         for scenario, (_, summary) in zip(cfg.scenarios, runs):
             avg = "" if summary.owsn_avg_latency_ms is None else f"{summary.owsn_avg_latency_ms:.4f}"
             rows.append([scenario.name, f"{params.lisl_range_km:g}", avg,
                          summary.unreachable_slots])
             log.info("range %g km, %s: avg %s ms, %d unreachable",
                      params.lisl_range_km, scenario.name, avg or "n/a", summary.unreachable_slots)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["scenario", "lisl_range_km", "avg_latency_ms", "unreachable_slots"])
-            w.writerows(rows)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+    (path,) = _write_artifacts(Path(cfg.out_dir), {"sweep_range.csv": _csv_text(
+        ["scenario", "lisl_range_km", "avg_latency_ms", "unreachable_slots"], rows)})
     print(path)
     return 0
 
@@ -408,13 +399,9 @@ def cmd_export_geojson(cfg: RunConfig, scenario_name: str, slot: int) -> int:
         }
     )
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{slugify(scenario.name)}_slot{slot}.geojson"
-    try:
-        _write_json(path, {"type": "FeatureCollection", "features": features})
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+    (path,) = _write_artifacts(Path(cfg.out_dir), {
+        f"{slugify(scenario.name)}_slot{slot}.geojson":
+            _json_text({"type": "FeatureCollection", "features": features})})
     print(path)
     return 0
 

@@ -78,8 +78,6 @@ class ScenarioSummary:
     owsn_avg_latency_ms: float | None
     owsn_min_ms: float | None
     owsn_max_ms: float | None
-    improvement_ms: float | None
-    improvement_pct: float | None
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -104,11 +102,11 @@ def oftn_latency(distance_km: float, constants: PhysicalConstants = CONSTANTS) -
 
 
 def compare(owsn_avg_ms: float, oftn_ms: float) -> tuple[float, float]:
-    """(improvement_ms, improvement_pct) of the satellite route vs. fiber."""
+    """(ms, percent of the fiber latency) the satellite route saves."""
     if oftn_ms <= 0:
         raise ValueError("baseline latency must be > 0")
-    improvement_ms = oftn_ms - owsn_avg_ms
-    return improvement_ms, 100.0 * improvement_ms / oftn_ms
+    gain_ms = oftn_ms - owsn_avg_ms
+    return gain_ms, 100.0 * gain_ms / oftn_ms
 
 
 def summarize(
@@ -116,16 +114,15 @@ def summarize(
     routes: Sequence[Route | None],
     constants: PhysicalConstants = CONSTANTS,
 ) -> ScenarioSummary:
-    """Aggregate each slot's route latency against the fiber baseline."""
+    """Reachable-slot latency statistics next to the fiber baseline."""
     distance = great_circle_distance(scenario.src, scenario.dst, constants.earth_radius_km)
     baseline_ms = oftn_latency(distance, constants)
     reachable = [r.total_latency_s * 1000.0 for r in routes if r is not None]
     if reachable:
         avg = sum(reachable) / len(reachable)
-        improvement_ms, improvement_pct = compare(avg, baseline_ms)
         owsn_min, owsn_max = min(reachable), max(reachable)
     else:
-        avg = owsn_min = owsn_max = improvement_ms = improvement_pct = None
+        avg = owsn_min = owsn_max = None
     return ScenarioSummary(
         name=scenario.name,
         oftn_distance_km=distance,
@@ -135,8 +132,6 @@ def summarize(
         owsn_avg_latency_ms=avg,
         owsn_min_ms=owsn_min,
         owsn_max_ms=owsn_max,
-        improvement_ms=improvement_ms,
-        improvement_pct=improvement_pct,
     )
 
 

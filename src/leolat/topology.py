@@ -120,6 +120,7 @@ def plane_link_class(plane_i: np.ndarray, plane_j: np.ndarray, num_planes: int) 
     return np.where(diff == 0, 0, np.where((diff == 1) | (diff == num_planes - 1), 1, 2))
 
 
+@dataclass(frozen=True, eq=False)
 class SnapshotGraph:
     """Immutable weighted graph of one time slot.
 
@@ -127,27 +128,14 @@ class SnapshotGraph:
     stored once with edge_i < edge_j.
     """
 
-    def __init__(
-        self,
-        slot_index: int,
-        time_s: float,
-        ground_labels: tuple[str, ...],
-        sat_ids: tuple[str, ...],
-        edge_i: np.ndarray,
-        edge_j: np.ndarray,
-        edge_dist_km: np.ndarray,
-        c_vacuum: float = CONSTANTS.c_vacuum,
-        sat_index: dict[str, int] | None = None,
-    ):
-        self.slot_index = slot_index
-        self.time_s = time_s
-        self.ground_labels = ground_labels
-        self.sat_ids = sat_ids
-        self.edge_i = edge_i
-        self.edge_j = edge_j
-        self.edge_dist_km = edge_dist_km
-        self.c_vacuum = c_vacuum
-        self._sat_index = sat_index
+    slot_index: int
+    time_s: float
+    ground_labels: tuple[str, ...]
+    sat_ids: tuple[str, ...]
+    edge_i: np.ndarray
+    edge_j: np.ndarray
+    edge_dist_km: np.ndarray
+    c_vacuum: float = CONSTANTS.c_vacuum
 
     @property
     def n_ground(self) -> int:
@@ -163,16 +151,11 @@ class SnapshotGraph:
         return NodeRef.satellite(self.sat_ids[idx - self.n_ground])
 
     def index_of(self, node: NodeRef) -> int:
-        if node.is_ground:
-            try:
-                return self.ground_labels.index(node.label)
-            except ValueError:
-                raise KeyError(f"node {node.label!r} not in snapshot") from None
-        if self._sat_index is None:
-            self._sat_index = {sid: k for k, sid in enumerate(self.sat_ids)}
         try:
-            return self.n_ground + self._sat_index[node.label]
-        except KeyError:
+            if node.is_ground:
+                return self.ground_labels.index(node.label)
+            return self.n_ground + self.sat_ids.index(node.label)
+        except ValueError:
             raise KeyError(f"node {node.label!r} not in snapshot") from None
 
 
@@ -382,7 +365,6 @@ def build_snapshot(
         edge_j=edge_j,
         edge_dist_km=edge_d,
         c_vacuum=constellation.constants.c_vacuum,
-        sat_index=constellation.sat_index,
     )
 
 

@@ -10,6 +10,13 @@ from leolat.cli import CliError, load_config, main, round4, slugify
 from leolat.experiment import builtin_scenarios
 
 NY_DUBLIN_CSV = "new_york_dublin_slots.csv"
+# One scenario whose two stations are one point: its fiber baseline is 0 km.
+LOOP_YAML = (
+    "scenarios:\n"
+    "  - name: loop\n"
+    "    src: {latitude_deg: 10.0, longitude_deg: 20.0, label: here}\n"
+    "    dst: {latitude_deg: 10.0, longitude_deg: 20.0, label: there}\n"
+)
 
 
 def read_rows(path):
@@ -116,6 +123,17 @@ class TestRun:
         echo.write_text(json.dumps(doc["config"] | {"out_dir": expected.out_dir}))
         assert load_config(echo) == expected
 
+    def test_zero_fiber_baseline_rejected_before_routing(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_scenarios", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "loop.yaml"
+        cfg.write_text(LOOP_YAML)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--duration", "2"]) == 1
+        assert "loop" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_phase_factor_override_recorded_in_config_echo(self, tmp_path):
         out = tmp_path / "pf"
         assert main(["run", "--out", str(out), "--duration", "2", "--phase-factor", "7"]) == 0
@@ -137,12 +155,7 @@ class TestDistances:
 
     def test_coincident_endpoints_report_zero(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
-            "scenarios:\n"
-            "  - name: loop\n"
-            "    src: {latitude_deg: 10.0, longitude_deg: 20.0, label: here}\n"
-            "    dst: {latitude_deg: 10.0, longitude_deg: 20.0, label: there}\n"
-        )
+        cfg.write_text(LOOP_YAML)
         assert main(["distances", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.strip() == "loop, 0.00 km, 0.00 ms"
 
@@ -186,6 +199,16 @@ class TestSweepRange:
         assert "lisl_range_km must be finite" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_zero_fiber_baseline_accepted(self, tmp_path):
+        # sweep-range reports latencies only; it never compares with fiber.
+        cfg = tmp_path / "loop.yaml"
+        cfg.write_text(LOOP_YAML)
+        out = tmp_path / "out"
+        assert main(["sweep-range", "--config", str(cfg), "--out", str(out),
+                     "--duration", "2", "--ranges", "1500"]) == 0
+        ((name, _, avg, _),) = read_rows(out / "sweep_range.csv")[1:]
+        assert name == "loop" and float(avg) > 0
 
     def test_average_latency_non_increasing_in_range(self, tmp_path):
         out = tmp_path / "mono"
@@ -376,6 +399,21 @@ class TestConfigLoading:
         assert "out_dir" in capsys.readouterr().err
         assert [x.name for x in tmp_path.iterdir()] == ["bad.yaml"]
 
+    def test_formats_must_name_a_format(self, tmp_path, capsys):
+        p = tmp_path / "bad.yaml"
+        p.write_text("formats: []\nduration_s: 2\n")
+        with pytest.raises(CliError, match="formats"):
+            load_config(p)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert "formats" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_option_follows_the_out_dir_rule(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--out", "", "--duration", "2"]) == 1
+        assert "out_dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_slot_must_divide_duration(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
         p.write_text("duration_s: 10\nslot_s: 3\n")
@@ -439,3 +477,25 @@ class TestConfigLoading:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
         assert "label" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestWriteFailure:
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep-range", "--ranges", "1500"],
+        ["export-geojson", "--scenario", "New York-Dublin", "--slot", "1"],
+    ], ids=["run", "sweep-range", "export-geojson"])
+    def test_out_below_a_regular_file(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(command + ["--out", str(blocker / "out"), "--duration", "2"]) == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_run_removes_what_it_wrote_and_nothing_else(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        assert main(["run", "--out", str(out), "--duration", "2"]) == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+        assert (out / "summary.json").is_dir()
