@@ -62,6 +62,11 @@ def round4(x: float) -> float:
     return float(f"{x:.4f}")
 
 
+def slugify(name: str) -> str:
+    """File-name stem of a scenario name."""
+    return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     constellation: ConstellationConfig
@@ -75,7 +80,14 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
-        slot_count(self.duration_s, self.slot_s)
+        if slot_count(self.duration_s, self.slot_s) == 0:
+            raise ValueError(f"duration_s must cover at least one slot, got {self.duration_s}")
+        stems = [slugify(s.name) for s in self.scenarios]
+        unnamed = [s.name for s, stem in zip(self.scenarios, stems) if not stem]
+        if unnamed:
+            raise ValueError(f"scenario names need a letter or digit to name files: {unnamed}")
+        if len(set(stems)) != len(stems):
+            raise ValueError("scenario names collide after slugification; rename them")
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ValueError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
         if not self.formats:
@@ -115,10 +127,7 @@ def _from_mapping(cls, mapping: dict, what: str):
 def _parse_point(mapping: dict, what: str) -> GeodeticPoint:
     if not isinstance(mapping, dict):
         raise CliError(f"{what} must be a mapping with latitude_deg/longitude_deg/label")
-    point = _from_mapping(GeodeticPoint, mapping, what)
-    if not isinstance(point.label, str) or not point.label:
-        raise CliError(f"{what} label must be a non-empty string, got {point.label!r}")
-    return point
+    return _from_mapping(GeodeticPoint, mapping, what)
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -170,10 +179,6 @@ def load_config(path: str | Path | None) -> RunConfig:
                 )
             except (KeyError, ValueError) as exc:
                 raise CliError(f"scenario #{i + 1} is invalid: {exc}") from exc
-        by_label: dict[str, GeodeticPoint] = {}
-        for point in (p for sc in parsed for p in (sc.src, sc.dst)):
-            if by_label.setdefault(point.label, point) != point:
-                raise CliError(f"station label {point.label!r} names two different points")
         fields["scenarios"] = tuple(parsed)
     # The other keys are RunConfig's own, which checks them itself.
     fields = doc | fields
@@ -200,10 +205,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 # -- serialization ---------------------------------------------------------------
-
-
-def slugify(name: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
 
 def _summary_record(summary) -> dict:
@@ -282,9 +283,6 @@ def _route(cfg: RunConfig, params: TopologyParams, workers: int):
 
 
 def cmd_run(cfg: RunConfig, workers: int) -> int:
-    slugs = [slugify(s.name) for s in cfg.scenarios]
-    if len(set(slugs)) != len(slugs):
-        raise CliError("scenario names collide after slugification; rename them")
     # summary.json compares each hour average with the rounded baseline.
     flat = [s.name for s in cfg.scenarios if round4(oftn_latency(great_circle_distance(
         s.src, s.dst, cfg.constants.earth_radius_km), cfg.constants)) == 0]
@@ -301,8 +299,8 @@ def cmd_run(cfg: RunConfig, workers: int) -> int:
 
     files = {}
     if "csv" in cfg.formats:
-        for slug, (routes, _) in zip(slugs, runs):
-            files[f"{slug}_slots.csv"] = _csv_text(["slot", "latency_ms", "path"], (
+        for s, (routes, _) in zip(cfg.scenarios, runs):
+            files[f"{slugify(s.name)}_slots.csv"] = _csv_text(["slot", "latency_ms", "path"], (
                 [k, "", ""] if route is None else
                 [k, f"{route.total_latency_s * 1000.0:.4f}", "|".join(route.labels())]
                 for k, route in enumerate(routes, start=1)))

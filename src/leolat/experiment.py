@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -64,6 +65,10 @@ class Scenario:
     dst: GeodeticPoint
 
     def __post_init__(self):
+        for what, text in (("name", self.name), ("src label", self.src.label),
+                           ("dst label", self.dst.label)):
+            if not isinstance(text, str) or not text:
+                raise ValueError(f"{what} must be a non-empty string, got {text!r}")
         if self.src.label == self.dst.label:
             raise ValueError("src and dst must be distinct stations")
 
@@ -203,23 +208,23 @@ class _SlotEngine:
         n_st, n = len(self.stations), len(self.nodes)
         pair_of, indptr, sat_heads = csr_layout(n, candidates.pair_i + n_st,
                                                 candidates.pair_j + n_st)
-        # The station rows, empty so far, hold each station's cone in turn.
-        indptr[1:n_st + 1] = np.cumsum([len(cone) for cone in candidates.cones])
+        # The station rows, empty so far, are the candidate cones.
+        indptr[1:n_st + 1] = candidates.cone_ptr[1:]
         indptr[n_st + 1:] += indptr[n_st]
-        indices = np.concatenate([cone + n_st for cone in candidates.cones] + [sat_heads])
+        indices = np.concatenate([candidates.cone_sats + n_st, sat_heads])
         return csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n)), pair_of
 
     def _route(self, graph: csr_matrix, pair_of: np.ndarray, isl_dist_km: np.ndarray,
-               isl_keep: np.ndarray, uplinks) -> list[Route | None]:
+               isl_keep: np.ndarray, slant_km: np.ndarray,
+               seen: np.ndarray) -> list[Route | None]:
         c_vacuum = self.constellation.constants.c_vacuum
         data, indptr = graph.data, graph.indptr
+        n_up = indptr[len(self.stations)]
         isl_lat = link_latencies(isl_dist_km, c_vacuum, out=isl_dist_km)
         isl_lat[~isl_keep] = np.inf
-        np.take(isl_lat, pair_of, out=data[indptr[len(self.stations)]:], mode="clip")
-        for s, (seen, slant_km) in enumerate(uplinks):
-            row = data[indptr[s]:indptr[s + 1]]
-            link_latencies(slant_km, c_vacuum, out=row)
-            row[~seen] = np.inf
+        np.take(isl_lat, pair_of, out=data[n_up:], mode="clip")
+        up_lat = link_latencies(slant_km, c_vacuum, out=data[:n_up])
+        up_lat[~seen] = np.inf
         # Each satellite's downlink latency to a destination is the
         # destination's uplink read backwards.
         n = len(self.nodes)
@@ -260,10 +265,14 @@ def run_scenarios(
     divide duration_s. Each slot's graph is built once for all scenarios.
     With workers > 1, the slots are cut into that many contiguous chunks,
     routed by a process pool of at most one process per core and merged
-    back in slot order.
+    back in slot order. A station label may name only one point.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    by_label: dict[str, GeodeticPoint] = {}
+    for point in (p for sc in scenarios for p in (sc.src, sc.dst)):
+        if by_label.setdefault(point.label, point) != point:
+            raise ValueError(f"station label {point.label!r} names two different points")
     n_slots = slot_count(duration_s, slot_s)
     times = [(k - 1) * slot_s for k in range(1, n_slots + 1)]
     per_slot: list[list[Route | None]] = []

@@ -159,31 +159,6 @@ class SnapshotGraph:
             raise KeyError(f"node {node.label!r} not in snapshot") from None
 
 
-@dataclass(frozen=True)
-class SlotLinks:
-    """Every link available at one instant, by satellite and station index.
-
-    Laser pairs are (isl_i[k], isl_j[k]) with isl_i < isl_j; uplinks[s]
-    holds the satellites station s sees and their slant ranges.
-    """
-
-    isl_i: np.ndarray
-    isl_j: np.ndarray
-    isl_dist_km: np.ndarray
-    uplinks: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def edges(self, n_stations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, dist_km) arrays, each link once with i < j, numbering the
-        stations first and the satellites after them: each station's
-        uplinks, station by station, then the laser links."""
-        return (np.concatenate([np.full(len(v), s, dtype=np.int32)
-                                for s, (v, _) in enumerate(self.uplinks)]
-                               + [self.isl_i + n_stations]),
-                np.concatenate([v + n_stations for v, _ in self.uplinks]
-                               + [self.isl_j + n_stations]),
-                np.concatenate([d for _, d in self.uplinks] + [self.isl_dist_km]))
-
-
 def pair_lengths(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Distance between points i[k] and j[k] of a (3, N) array of x, y and z
     rows. Gathers from three 1-D rows run faster than one (N, 3) row
@@ -210,8 +185,9 @@ def _station_xyz(station: GeodeticPoint, t: float, constants) -> np.ndarray:
 class LinkCandidates:
     """Every link that can exist at some instant of [t0, t0 + span_s].
 
-    pair_i < pair_j are the candidate laser pairs and cones[s] the candidate
-    satellites of station s, in ascending order, all int32 (see the module
+    pair_i < pair_j are the candidate laser pairs, and station s's candidate
+    satellites are cone_sats[cone_ptr[s]:cone_ptr[s + 1]] in ascending order,
+    as the station rows of a CSR graph; both are int32 (see the module
     docstring for the bounds that size them). at(t) measures the candidates
     at any t of the block and links_at(t) keeps the links among them.
     """
@@ -262,16 +238,16 @@ class LinkCandidates:
         d_max = math.sqrt(shell_r**2 - (earth_r * math.cos(el)) ** 2) - earth_r * math.sin(el)
         cone_km = (d_max * (1.0 + _CONE_MARGIN)
                    + (speed + constants.earth_rotation_rate * earth_r) * span_s)
-        self.cones = tuple(
-            np.flatnonzero(np.linalg.norm(self._xyz0 - _station_xyz(st, t0, constants), axis=1)
-                           <= cone_km).astype(np.int32)
-            for st in self.stations)
+        cones = [np.flatnonzero(np.linalg.norm(self._xyz0 - _station_xyz(st, t0, constants),
+                                               axis=1) <= cone_km) for st in self.stations]
+        self.cone_sats = np.concatenate([np.zeros(0, np.int32)] + cones).astype(np.int32)
+        self.cone_ptr = np.cumsum([0] + [len(cone) for cone in cones])
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
-        """The candidates measured at t, as (isl_dist_km, isl_keep, uplinks):
-        each candidate pair's length and whether it is a link, and for each
-        station (seen, slant_km) over its cone, whether each satellite is at
-        or above the mask and its slant range. t must lie in the block."""
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The candidates measured at t, as (isl_dist_km, isl_keep, slant_km,
+        seen): each candidate pair's length and whether it is a link, and
+        over cone_sats each station-satellite range and whether the satellite
+        is at or above the station's mask. t must lie in the block."""
         if not 0.0 <= t - self.t0 <= self.span_s:
             raise ValueError(f"t = {t} lies outside the block of {self.span_s} s "
                              f"from {self.t0}")
@@ -285,20 +261,25 @@ class LinkCandidates:
             if len(band):
                 keep[band] = segments_clear(sats_xyz[self.pair_i[band]],
                                             sats_xyz[self.pair_j[band]], constants.earth_radius_km)
-        uplinks = []
-        for station, cone in zip(self.stations, self.cones):
-            gs_xyz = _station_xyz(station, t, constants)
-            sats = sats_xyz[cone]
-            uplinks.append((elevation_angles(gs_xyz, sats) >= self.params.min_elevation_deg,
-                            np.linalg.norm(sats - gs_xyz, axis=1)))
-        return isl_dist, keep, tuple(uplinks)
+        sats = sats_xyz[self.cone_sats]
+        gs_xyz = np.array([_station_xyz(st, t, constants) for st in self.stations]).reshape(-1, 3)
+        elev = np.empty(len(sats))
+        for gs, lo, hi in zip(gs_xyz, self.cone_ptr, self.cone_ptr[1:]):
+            elev[lo:hi] = elevation_angles(gs, sats[lo:hi])
+        slant = np.linalg.norm(sats - np.repeat(gs_xyz, np.diff(self.cone_ptr), axis=0), axis=1)
+        return isl_dist, keep, slant, elev >= self.params.min_elevation_deg
 
-    def links_at(self, t: float) -> SlotLinks:
-        """The links among the candidates at t."""
-        isl_dist, keep, uplinks = self.at(t)
-        return SlotLinks(self.pair_i[keep], self.pair_j[keep], isl_dist[keep],
-                         tuple((cone[seen], slant[seen])
-                               for cone, (seen, slant) in zip(self.cones, uplinks)))
+    def links_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The links among the candidates at t, as (edge_i, edge_j, dist_km)
+        arrays, each link once with edge_i < edge_j, numbering the stations
+        first and the satellites after them: each station's uplinks,
+        station by station, then the laser links."""
+        isl_dist, keep, slant, seen = self.at(t)
+        n_st = len(self.stations)
+        station_of = np.repeat(np.arange(n_st, dtype=np.int32), np.diff(self.cone_ptr))
+        return (np.concatenate([station_of[seen], self.pair_i[keep] + n_st]),
+                np.concatenate([self.cone_sats[seen] + n_st, self.pair_j[keep] + n_st]),
+                np.concatenate([slant[seen], isl_dist[keep]]))
 
 
 def candidate_blocks(
@@ -334,9 +315,9 @@ def slot_links(
     stations: Sequence[GeodeticPoint],
     t: float,
     params: TopologyParams,
-) -> SlotLinks:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Laser pairs within range and station-satellite links above the mask
-    at t: the links of a one-slot LinkCandidates block."""
+    at t, as the edge arrays of a one-slot LinkCandidates.links_at."""
     return LinkCandidates(constellation, stations, t, 0.0, params).links_at(t)
 
 
@@ -355,7 +336,7 @@ def build_snapshot(
     if len(set(labels)) != len(labels):
         raise ValueError("ground station labels must be unique")
     ordered = sorted(stations, key=lambda s: s.label)
-    edge_i, edge_j, edge_d = slot_links(constellation, ordered, t, params).edges(len(ordered))
+    edge_i, edge_j, edge_d = slot_links(constellation, ordered, t, params)
     return SnapshotGraph(
         slot_index=slot_index,
         time_s=t,
@@ -368,15 +349,17 @@ def build_snapshot(
     )
 
 
-def neighbor_census(links: SlotLinks, cfg: ConstellationConfig) -> np.ndarray:
+def neighbor_census(links, n_stations: int, cfg: ConstellationConfig) -> np.ndarray:
     """(n_sats, 4) link counts per satellite, in columns intra-plane,
-    adjacent-plane, crossing-plane and ground; each row sums to the
-    satellite's degree."""
+    adjacent-plane, crossing-plane and ground, from slot_links' edge arrays
+    over n_stations stations; each row sums to the satellite's degree."""
+    edge_i, edge_j, _ = links
+    laser = edge_i >= n_stations
+    sat_i, sat_j = edge_i[laser] - n_stations, edge_j[laser] - n_stations
     counts = np.zeros((cfg.total_sats, 4), dtype=np.int64)
-    cls = plane_link_class(links.isl_i // cfg.sats_per_plane, links.isl_j // cfg.sats_per_plane,
+    cls = plane_link_class(sat_i // cfg.sats_per_plane, sat_j // cfg.sats_per_plane,
                            cfg.num_planes)
-    np.add.at(counts, (links.isl_i, cls), 1)
-    np.add.at(counts, (links.isl_j, cls), 1)
-    for visible, _ in links.uplinks:
-        counts[visible, 3] += 1
+    np.add.at(counts, (sat_i, cls), 1)
+    np.add.at(counts, (sat_j, cls), 1)
+    counts[:, 3] = np.bincount(edge_j[~laser] - n_stations, minlength=cfg.total_sats)
     return counts

@@ -212,7 +212,7 @@ def test_criterion_6_intra_plane_census(default_constellation):
     for _ in range(50):
         t = rng.uniform(0.0, 5800.0)
         links = slot_links(default_constellation, [], t, TopologyParams())
-        census = neighbor_census(links, default_constellation.cfg)
+        census = neighbor_census(links, 0, default_constellation.cfg)
         assert census.shape == (1584, 4)
         assert (census[:, 0] == 4).all()
     print("criterion 6b: intra-plane neighbor count = 4 for all satellites at 50 slots")

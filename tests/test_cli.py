@@ -444,6 +444,36 @@ class TestConfigLoading:
         assert "finite" in err and where in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "args,yaml_text,where",
+        [
+            (["--duration", "0"], "", "duration_s"),
+            ([], "duration_s: 0\n", "duration_s"),
+            ([], "duration_s: 2\nscenarios:\n"
+                 "  - name: '!!!'\n"
+                 "    src: {latitude_deg: 10.0, longitude_deg: 20.0, label: a}\n"
+                 "    dst: {latitude_deg: 20.0, longitude_deg: 30.0, label: b}\n", "'!!!'"),
+            ([], "duration_s: 2\nscenarios:\n"
+                 "  - name: A-B\n"
+                 "    src: {latitude_deg: 10.0, longitude_deg: 20.0, label: a}\n"
+                 "    dst: {latitude_deg: 20.0, longitude_deg: 30.0, label: b}\n"
+                 "  - name: a b\n"
+                 "    src: {latitude_deg: 10.0, longitude_deg: 20.0, label: a}\n"
+                 "    dst: {latitude_deg: 30.0, longitude_deg: 40.0, label: c}\n", "collide"),
+        ],
+        ids=["duration-option-0", "duration-key-0", "unnamed-files", "colliding-files"],
+    )
+    @pytest.mark.parametrize("command", [["run"], ["sweep-range", "--ranges", "1500"],
+                                         ["distances"]], ids=["run", "sweep-range", "distances"])
+    def test_horizon_and_file_names_checked_at_load(self, tmp_path, capsys, command, args,
+                                                    yaml_text, where):
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml_text)
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(p), "--out", str(out)] + args) == 1
+        assert where in capsys.readouterr().err
+        assert [x.name for x in tmp_path.iterdir()] == ["bad.yaml"]
+
     def test_scalar_format_accepted(self, tmp_path):
         p = tmp_path / "csv.yaml"
         p.write_text("formats: csv\nduration_s: 2\n")

@@ -75,6 +75,16 @@ class TestBuiltinScenarios:
         with pytest.raises(ValueError):
             Scenario("x", p, GeodeticPoint(3.0, 4.0, "same"))
 
+    @pytest.mark.parametrize("label", [123, True, ""], ids=["int", "bool", "empty"])
+    def test_labels_must_be_non_empty_strings(self, label):
+        b = GeodeticPoint(3.0, 4.0, "b")
+        with pytest.raises(ValueError, match="src label"):
+            Scenario("x", GeodeticPoint(1.0, 2.0, label), b)
+        with pytest.raises(ValueError, match="dst label"):
+            Scenario("x", b, GeodeticPoint(1.0, 2.0, label))
+        with pytest.raises(ValueError, match="name"):
+            Scenario(label, b, GeodeticPoint(1.0, 2.0, "a"))
+
 
 @pytest.fixture(scope="module")
 def short_run(default_cfg):
@@ -177,11 +187,26 @@ class TestRunScenario:
         assert [latency_ms(r) for r in par] == [latency_ms(r) for r in seq]
         assert [r.labels() for r in par] == [r.labels() for r in seq]
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5])
     def test_workers_below_one_rejected(self, default_cfg, workers):
         with pytest.raises(ValueError, match="workers"):
             run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(),
                           duration_s=4, workers=workers)
+
+    def test_label_naming_two_points_rejected_before_routing(self, default_cfg, monkeypatch):
+        def routed(*args, **kwargs):
+            raise AssertionError("routed")
+
+        monkeypatch.setattr(experiment, "_route_block", routed)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", routed)
+        ny, london = (EXCHANGE_COORDINATES[c] for c in ("New York", "London"))
+        dublin = exchange_pair("New York", "Dublin").dst
+        scenarios = [Scenario("a", GeodeticPoint(*ny, "X"), dublin),
+                     Scenario("b", GeodeticPoint(*london, "X"), dublin)]
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="label 'X' names two different points"):
+                run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=8,
+                              workers=workers)
 
     def test_pool_never_larger_than_the_core_count(self, default_cfg, monkeypatch):
         # The pool runs in this process, so no process starts; the cores
@@ -334,6 +359,23 @@ class TestSlotEngine:
                                                  duration_s=6)[0]
             assert route_rows(results) == route_rows(alone)
             assert summary == alone_summary
+
+    def test_empty_cone_between_non_empty_ones(self, default_cfg):
+        # No satellite of the 53 degree shell rises 30 degrees above a
+        # station at 85 degrees latitude: the polar stations' rows are
+        # empty, between New York-Dublin's rows and Sao Paulo-London's.
+        params = TopologyParams(min_elevation_deg=30.0)
+        polar = Scenario("North-South", GeodeticPoint(85.0, 10.0, "North"),
+                         GeodeticPoint(-85.0, 10.0, "South"))
+        scenarios = [exchange_pair("New York", "Dublin"), polar,
+                     exchange_pair("Sao Paulo", "London")]
+        together = run_scenarios(scenarios, default_cfg, params, duration_s=12)
+        polar_routes, _ = together[1]
+        assert polar_routes == [None] * 12
+        for scenario, (routes, _) in zip(scenarios[::2], together[::2]):
+            alone, _ = run_scenarios([scenario], default_cfg, params, duration_s=12)[0]
+            assert all(r is not None for r in alone)
+            assert route_rows(routes) == route_rows(alone)
 
     def test_no_scenarios(self, default_cfg):
         assert run_scenarios([], default_cfg, TopologyParams(), duration_s=5) == []

@@ -24,7 +24,6 @@ from leolat.routing import link_latencies
 from leolat.topology import (
     BLOCK_MARGIN_KM,
     LinkCandidates,
-    SlotLinks,
     candidate_blocks,
     pair_lengths,
     plane_link_class,
@@ -69,7 +68,7 @@ class TestClassify:
 
 def census_at(constellation, stations, t, params):
     links = slot_links(constellation, stations, t, params)
-    return neighbor_census(links, constellation.cfg)
+    return neighbor_census(links, len(stations), constellation.cfg)
 
 
 class TestSnapshot:
@@ -217,15 +216,19 @@ class TestCensus:
 
     def test_class_counts_match_parsed_ids(self, default_constellation):
         links = slot_links(default_constellation, STATIONS, 77.0, TopologyParams())
-        census = neighbor_census(links, default_constellation.cfg)
+        n_st = len(STATIONS)
+        census = neighbor_census(links, n_st, default_constellation.cfg)
         ids = default_constellation.sat_ids
         expected = np.zeros_like(census)
-        for i, j in zip(links.isl_i.tolist(), links.isl_j.tolist()):
-            cls = link_class(ids[i], ids[j], default_constellation.cfg.num_planes)
-            expected[i, cls] += 1
-            expected[j, cls] += 1
-        for visible, _ in links.uplinks:
-            expected[visible, 3] += 1
+        edge_i, edge_j, _ = links
+        for i, j in zip(edge_i.tolist(), edge_j.tolist()):
+            if i < n_st:
+                expected[j - n_st, 3] += 1
+                continue
+            cls = link_class(ids[i - n_st], ids[j - n_st], default_constellation.cfg.num_planes)
+            expected[i - n_st, cls] += 1
+            expected[j - n_st, cls] += 1
+        assert expected[:, 3].sum() > 0
         assert (census == expected).all()
 
     def test_adjacent_plane_neighbors_exist_at_mid_latitudes(self, default_constellation):
@@ -237,26 +240,27 @@ class TestCensus:
     def test_empty_graph_yields_empty_census(self):
         cfg = ConstellationConfig(num_planes=3, sats_per_plane=4)
         none = np.zeros(0, dtype=np.int32)
-        links = SlotLinks(none, none, np.zeros(0), ((none, np.zeros(0)),))
-        assert (neighbor_census(links, cfg) == np.zeros((12, 4))).all()
+        links = (none, none, np.zeros(0))
+        assert (neighbor_census(links, 1, cfg) == np.zeros((12, 4))).all()
 
 
-def link_arrays(links: SlotLinks, n_sats: int) -> list[bytes]:
-    """A SlotLinks as comparable bytes: the laser pairs in ascending order
-    with their lengths, then each station's satellites and slant ranges."""
-    key = links.isl_i.astype(np.int64) * n_sats + links.isl_j
+def link_arrays(links, n_stations: int, n_sats: int) -> list[bytes]:
+    """slot_links' edge arrays as comparable bytes: which entries are
+    laser links, the laser pairs in ascending order with their lengths,
+    then the uplinks' stations, satellites and slant ranges in order."""
+    edge_i, edge_j, dist = links
+    laser = edge_i >= n_stations
+    key = (edge_i[laser] - n_stations).astype(np.int64) * n_sats + edge_j[laser] - n_stations
     order = np.argsort(key)
-    return [key[order].tobytes(), links.isl_dist_km[order].tobytes()] + [
-        a.tobytes() for visible, slant in links.uplinks for a in (visible, slant)]
+    return [laser.tobytes(), key[order].tobytes(), dist[laser][order].tobytes()] + [
+        a[~laser].tobytes() for a in links]
 
 
-def link_labels(links: SlotLinks, shell, stations) -> set[tuple[str, str]]:
-    """A SlotLinks in the form of conftest.edge_set."""
-    ids = shell.sat_ids
-    edges = {(ids[i], ids[j]) for i, j in zip(links.isl_i.tolist(), links.isl_j.tolist())}
-    for station, (visible, _) in zip(stations, links.uplinks):
-        edges.update((station.label, ids[k]) for k in visible.tolist())
-    return edges
+def link_labels(links, shell, stations) -> set[tuple[str, str]]:
+    """slot_links' edge arrays in the form of conftest.edge_set."""
+    names = [station.label for station in stations] + list(shell.sat_ids)
+    edge_i, edge_j, _ = links
+    return {(names[i], names[j]) for i, j in zip(edge_i.tolist(), edge_j.tolist())}
 
 
 class TestLinkCandidates:
@@ -280,8 +284,9 @@ class TestLinkCandidates:
         for candidates, block in candidate_blocks(shell, STATIONS, times, params):
             assert len(block) == k_slots or block[-1] == times[-1]
             for t in block:
-                assert link_arrays(candidates.links_at(t), len(shell)) == link_arrays(
-                    slot_links(shell, STATIONS, t, params), len(shell)), t
+                assert link_arrays(candidates.links_at(t), len(STATIONS), len(shell)) \
+                    == link_arrays(slot_links(shell, STATIONS, t, params), len(STATIONS),
+                                   len(shell)), t
             seen += block
         assert seen == times
 
@@ -328,8 +333,8 @@ class TestOneInRangePredicate:
                 params = TopologyParams(lisl_range_km=float(reach))
                 expected = keys[lengths <= reach]
                 for candidates in self.blocks(default_constellation, [], params):
-                    links = candidates.links_at(self.T)
-                    got = np.sort(links.isl_i.astype(np.int64) * n + links.isl_j)
+                    edge_i, edge_j, _ = candidates.links_at(self.T)
+                    got = np.sort(edge_i.astype(np.int64) * n + edge_j)
                     assert np.array_equal(got, expected)
 
     def test_station_links_at_the_mask(self, default_constellation):
@@ -344,7 +349,11 @@ class TestOneInRangePredicate:
                     params = TopologyParams(min_elevation_deg=float(mask))
                     expected = np.flatnonzero(elev >= mask)
                     for candidates in self.blocks(default_constellation, [station], params):
-                        ((visible, slant),) = candidates.links_at(self.T).uplinks
+                        edge_i, edge_j, dist = candidates.links_at(self.T)
+                        # The uplinks come first, then the laser links.
+                        up = np.flatnonzero(edge_i == 0)
+                        assert up.tolist() == list(range(len(expected)))
+                        visible, slant = edge_j[up] - 1, dist[up]
                         assert visible.tolist() == expected.tolist()
                         assert slant.tobytes() == np.linalg.norm(xyz[expected] - gs,
                                                                  axis=1).tobytes()
