@@ -328,6 +328,8 @@ def cmd_sweep_range(cfg: RunConfig, ranges: list[float], workers: int) -> int:
         raise CliError("at least one LISL range is required")
     # Every range is checked before any is routed.
     variants = [dataclasses.replace(cfg.topology, lisl_range_km=r) for r in ranges]
+    if len(set(ranges)) < len(ranges):
+        raise CliError(f"--ranges repeats {next(r for r in ranges if ranges.count(r) > 1):g} km")
     rows = []
     for params in variants:
         runs = _route(cfg, params, workers)
@@ -456,7 +458,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "distances":
             return cmd_distances(cfg)
         if args.command == "sweep-range":
-            ranges = [float(r) for r in args.ranges.split(",") if r.strip()]
+            try:
+                ranges = [float(r) for r in args.ranges.split(",") if r.strip()]
+            except ValueError as exc:
+                raise CliError(f"--ranges: {exc}") from None
             return cmd_sweep_range(cfg, ranges, workers=args.workers)
         if args.command == "export-geojson":
             return cmd_export_geojson(cfg, args.scenario, args.slot)

@@ -32,7 +32,7 @@ from .geo import (
     great_circle_distance,
 )
 from .routing import Route, csr_layout, distances_from, link_latencies, trace_route
-from .topology import LinkCandidates, NodeRef, TopologyParams, candidate_blocks
+from .topology import LinkCandidates, NodeRef, TopologyParams, candidate_blocks, route_budget_km
 
 # Reproduction defaults. Neither the shell's inter-plane phasing nor the
 # ground elevation mask is pinned down by the published constellation
@@ -168,6 +168,11 @@ class _SlotEngine:
     latencies, inf where a candidate is not a link at that slot: csgraph
     never relaxes an inf edge and trace_route never takes one, so every
     route equals the one-slot graph's.
+
+    Each block's candidates are pruned to the scenarios' route budgets. A
+    slot's routes stand only if each is within its budget; otherwise that
+    slot and the rest of its block route on the unpruned candidates, so the
+    budgets never change a route (see topology.LinkCandidates).
     """
 
     def __init__(
@@ -186,6 +191,9 @@ class _SlotEngine:
         self.stations = list(row)
         self.queries = [(row[sc.src], row[sc.dst]) for sc in scenarios]
         self.targets = sorted({dst for _, dst in self.queries})
+        self.budgets = [(src, dst, route_budget_km(self.constellation, sc.src, sc.dst, params))
+                        for (src, dst), sc in zip(self.queries, scenarios)]
+        self.budgets_s = [link_latencies(km, constants.c_vacuum) for _, _, km in self.budgets]
         self.nodes = [NodeRef.ground(s.label) for s in self.stations] + [
             NodeRef.satellite(sid) for sid in self.constellation.sat_ids
         ]
@@ -195,10 +203,21 @@ class _SlotEngine:
         time; the times of one topology.candidate_blocks block share one
         candidate set and layout."""
         for candidates, block in candidate_blocks(self.constellation, self.stations, times,
-                                                  self.params):
+                                                  self.params, self.budgets):
             graph, pair_of = self._layout(candidates)
             for t in block:
-                yield self._route(graph, pair_of, *candidates.at(t))
+                routes = self._route(graph, pair_of, *candidates.at(t))
+                if candidates.pruned and not all(
+                        r is not None and r.total_latency_s <= b
+                        for r, b in zip(routes, self.budgets_s)):
+                    # Let the pruned set go before the full one is built.
+                    t0, span_s = candidates.t0, candidates.span_s
+                    candidates = graph = pair_of = None
+                    candidates = LinkCandidates(self.constellation, self.stations, t0, span_s,
+                                                self.params)
+                    graph, pair_of = self._layout(candidates)
+                    routes = self._route(graph, pair_of, *candidates.at(t))
+                yield routes
             # Let this block go before the next one is built.
             candidates = graph = pair_of = None
 

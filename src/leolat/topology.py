@@ -13,11 +13,12 @@ KD-tree pair search therefore runs once per block, with the range widened
 by the first bound. On one shell the elevation angle falls monotonically
 with slant range, sin el = (r^2 - R^2 - d^2) / (2 R d), so each station
 keeps the cone of satellites within the slant range of its mask widened by
-the second bound. Each slot of the block then measures only the candidates
-and applies the exact predicates: pair_lengths <= reach and elevation >=
-mask. slot_links is the one-slot case, a block of span 0 built and
-measured at the same instant; the slot engine routes every CLI command on
-candidate sets spanning up to BLOCK_MARGIN_KM of motion.
+the second bound; route budgets may prune both (see LinkCandidates). Each
+slot of the block then measures only the candidates and applies the exact
+predicates: pair_lengths <= reach and elevation >= mask. slot_links is the
+one-slot case, a block of span 0 built and measured at the same instant;
+the slot engine routes every CLI command on candidate sets spanning up to
+BLOCK_MARGIN_KM of motion.
 
 The line-of-sight test rests on the shell being one sphere of radius r:
 the chord between two of its satellites clears the Earth exactly when it
@@ -59,6 +60,7 @@ from .geo import (
     check_fields,
     elevation_angles,
     geodetic_to_inertial,
+    great_circle_distance,
     segments_clear,
 )
 
@@ -162,19 +164,38 @@ class SnapshotGraph:
 def pair_lengths(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Distance between points i[k] and j[k] of a (3, N) array of x, y and z
     rows. Gathers from three 1-D rows run faster than one (N, 3) row
-    gather, and the sum x + y + z is np.linalg.norm's, so the result is
+    gather, ndarray.take gathers through int32 indices faster than indexing,
+    and the sum x + y + z is np.linalg.norm's, so the result is
     bit-identical to np.linalg.norm(xyz[i] - xyz[j], axis=1)."""
     # In place: at most three pair-sized arrays are alive at once.
     x, y, z = cols
-    dist = x[i]
-    dist -= x[j]
+    dist = x.take(i)
+    dist -= x.take(j)
     dist *= dist
     for row in (y, z):
-        d = row[i]
-        d -= row[j]
+        d = row.take(i)
+        d -= row.take(j)
         d *= d
         dist += d
     return np.sqrt(dist, out=dist)
+
+
+def mask_slant_km(constellation: Constellation, min_elevation_deg: float) -> float:
+    """Slant range from a station to a satellite of the shell seen at the
+    elevation angle, km: the longest link a station makes at that mask."""
+    earth_r = constellation.constants.earth_radius_km
+    shell_r = orbit_radius_km(constellation.cfg, constellation.constants)
+    el = math.radians(min_elevation_deg)
+    return math.sqrt(shell_r**2 - (earth_r * math.cos(el)) ** 2) - earth_r * math.sin(el)
+
+
+def route_budget_km(constellation: Constellation, src: GeodeticPoint, dst: GeodeticPoint,
+                    params: TopologyParams) -> float:
+    """Path length, km, of the shell arc above the great circle from src to
+    dst plus an uplink and a downlink at the mask's slant range."""
+    shell_r = orbit_radius_km(constellation.cfg, constellation.constants)
+    return (great_circle_distance(src, dst, shell_r)
+            + 2.0 * mask_slant_km(constellation, params.min_elevation_deg))
 
 
 def _station_xyz(station: GeodeticPoint, t: float, constants) -> np.ndarray:
@@ -190,6 +211,18 @@ class LinkCandidates:
     as the station rows of a CSR graph; both are int32 (see the module
     docstring for the bounds that size them). at(t) measures the candidates
     at any t of the block and links_at(t) keeps the links among them.
+
+    Each of the budgets (a, b, L = c * B) prunes: a route of latency <= B
+    from station a to b has every node x in the ellipsoid |x - a| + |x - b|
+    <= L, so only the satellites within L * (1 + _CONE_MARGIN) + 2 * drift of
+    it at t0 are `kept` (drift is the cones' motion bound); the others keep
+    no candidate. `pruned` says whether any went. Routes on a pruned set
+    are exact if their latency R <= B: the full optimum is <= R, and every
+    full route that fast lies in the kept satellites, so both graphs share
+    their optimal routes. A node's csgraph distance is the least float path
+    sum over its paths, so every node that trace_route finds tight gets the
+    same float in both; one whose shortest path leaves the ellipsoid is
+    slower by far more than rounding and tight in neither.
     """
 
     def __init__(
@@ -199,6 +232,7 @@ class LinkCandidates:
         t0: float,
         span_s: float,
         params: TopologyParams,
+        budgets: Sequence[tuple[int, int, float]] = (),
     ):
         if not span_s >= 0.0:
             raise ValueError("span_s must be >= 0")
@@ -227,19 +261,20 @@ class LinkCandidates:
             self.reach = min(self.reach, self.tangent * (1.0 + _CHORD_MARGIN))
 
         self._xyz0 = constellation.positions_at(t0)
-        pairs = cKDTree(self._xyz0).query_pairs(
-            r=self.reach * (1.0 + _CHORD_MARGIN) + 2.0 * speed * span_s, output_type="ndarray")
-        self.pair_i = pairs[:, 0].astype(np.int32)
-        self.pair_j = pairs[:, 1].astype(np.int32)
-        del pairs
+        ranges = [np.linalg.norm(self._xyz0 - _station_xyz(st, t0, constants), axis=1)
+                  for st in self.stations]
+        drift = (speed + constants.earth_rotation_rate * earth_r) * span_s
+        self.kept = np.full(len(self._xyz0), not budgets)
+        for a, b, budget_km in budgets:
+            self.kept |= ranges[a] + ranges[b] <= budget_km * (1.0 + _CONE_MARGIN) + 2.0 * drift
+        self.pruned = not self.kept.all()
+        sats = np.flatnonzero(self.kept)
+        self.pair_i, self.pair_j = sats[cKDTree(self._xyz0[sats]).query_pairs(
+            r=self.reach * (1.0 + _CHORD_MARGIN) + 2.0 * speed * span_s,
+            output_type="ndarray")].T.astype(np.int32, order="C")
 
-        # Slant range of a satellite on the shell seen at the mask angle.
-        el = math.radians(params.min_elevation_deg)
-        d_max = math.sqrt(shell_r**2 - (earth_r * math.cos(el)) ** 2) - earth_r * math.sin(el)
-        cone_km = (d_max * (1.0 + _CONE_MARGIN)
-                   + (speed + constants.earth_rotation_rate * earth_r) * span_s)
-        cones = [np.flatnonzero(np.linalg.norm(self._xyz0 - _station_xyz(st, t0, constants),
-                                               axis=1) <= cone_km) for st in self.stations]
+        cone_km = mask_slant_km(constellation, params.min_elevation_deg) * (1.0 + _CONE_MARGIN)
+        cones = [np.flatnonzero((r <= cone_km + drift) & self.kept) for r in ranges]
         self.cone_sats = np.concatenate([np.zeros(0, np.int32)] + cones).astype(np.int32)
         self.cone_ptr = np.cumsum([0] + [len(cone) for cone in cones])
 
@@ -287,10 +322,11 @@ def candidate_blocks(
     stations: Sequence[GeodeticPoint],
     times: Sequence[float],
     params: TopologyParams,
+    budgets: Sequence[tuple[int, int, float]] = (),
 ) -> Iterator[tuple[LinkCandidates, Sequence[float]]]:
     """Split the ascending times into blocks of consecutive times over which
     no link length can change by more than BLOCK_MARGIN_KM, and yield each
-    block's LinkCandidates with the block's times.
+    block's LinkCandidates, pruned to the budgets, with the block's times.
 
     With times slot_s apart, a block holds K = 1 + floor(BLOCK_MARGIN_KM /
     (2 v slot_s)) of them, the last block possibly fewer. Each set is built
@@ -305,7 +341,7 @@ def candidate_blocks(
         while stop < len(times) and times[stop] - times[start] <= longest:
             stop += 1
         yield (LinkCandidates(constellation, stations, times[start],
-                              times[stop - 1] - times[start], params),
+                              times[stop - 1] - times[start], params, budgets),
                times[start:stop])
         start = stop
 

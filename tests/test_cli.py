@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from leolat import cli
+from leolat import cli, experiment
 from leolat.cli import CliError, load_config, main, round4, slugify
 from leolat.experiment import builtin_scenarios
 
@@ -16,6 +16,19 @@ LOOP_YAML = (
     "  - name: loop\n"
     "    src: {latitude_deg: 10.0, longitude_deg: 20.0, label: here}\n"
     "    dst: {latitude_deg: 10.0, longitude_deg: 20.0, label: there}\n"
+)
+
+# London-Dublin and New York-Dublin: route budgets prune every block to a
+# small part of the shell.
+REGIONAL_YAML = (
+    "constellation: {phase_factor: 11, epoch: 777.0}\n"
+    "scenarios:\n"
+    "  - name: London-Dublin\n"
+    "    src: {latitude_deg: 51.515236, longitude_deg: -0.098942, label: London}\n"
+    "    dst: {latitude_deg: 53.344648, longitude_deg: -6.263233, label: Dublin}\n"
+    "  - name: New York-Dublin\n"
+    "    src: {latitude_deg: 40.706913, longitude_deg: -74.011322, label: New York}\n"
+    "    dst: {latitude_deg: 53.344648, longitude_deg: -6.263233, label: Dublin}\n"
 )
 
 
@@ -199,6 +212,47 @@ class TestSweepRange:
         assert "lisl_range_km must be finite" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_repeated_range_rejected_before_any_routing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_scenarios", lambda *a, **k: pytest.fail("routed"))
+        out = tmp_path / "out"
+        assert main(["sweep-range", "--out", str(out), "--duration", "2",
+                     "--ranges", "1000,1500,1e3"]) == 1
+        err = capsys.readouterr().err
+        assert "--ranges" in err and "1000" in err and "1500" not in err
+        assert not out.exists()
+
+    def test_unparseable_range_names_the_option(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep-range", "--out", str(out), "--ranges", "1000,abc"]) == 1
+        err = capsys.readouterr().err
+        assert "--ranges" in err and "abc" in err
+        assert not out.exists()
+
+    def test_pruned_sweep_agrees_across_worker_counts(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "regional.yaml"
+        cfg.write_text(REGIONAL_YAML)
+        pruned = []
+        blocks = experiment.candidate_blocks
+
+        def spy(*args):
+            for candidates, block in blocks(*args):
+                pruned.append(candidates.pruned)
+                yield candidates, block
+
+        monkeypatch.setattr(experiment, "candidate_blocks", spy)
+        texts = []
+        # With 2 workers the second chunk starts at t = 11 s, one slot into
+        # a block.
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["sweep-range", "--config", str(cfg), "--out", str(out),
+                         "--duration", "23", "--ranges", "1000,6000",
+                         "--workers", workers]) == 0
+            texts.append((out / "sweep_range.csv").read_bytes())
+        # The in-process run (1 worker) saw 3 blocks per range, all pruned.
+        assert pruned == [True] * 6
+        assert texts[0] == texts[1]
 
     def test_zero_fiber_baseline_accepted(self, tmp_path):
         # sweep-range reports latencies only; it never compares with fiber.

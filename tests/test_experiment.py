@@ -5,8 +5,9 @@ import networkx as nx
 import pytest
 
 from conftest import heap_route
-from leolat import experiment
+from leolat import experiment, topology
 from leolat import (
+    CONSTANTS,
     Constellation,
     ConstellationConfig,
     GeodeticPoint,
@@ -258,6 +259,20 @@ def exchange_pair(a: str, b: str) -> Scenario:
     return Scenario(f"{a}-{b}", point(a), point(b))
 
 
+def spy_fallbacks(monkeypatch) -> list[float]:
+    """The start of each block that the slot engine routes again on the
+    unpruned candidates, in order."""
+    fallbacks = []
+    full = experiment.LinkCandidates
+
+    def spy(*args):
+        fallbacks.append(args[2])
+        return full(*args)
+
+    monkeypatch.setattr(experiment, "LinkCandidates", spy)
+    return fallbacks
+
+
 def route_rows(routes):
     return [(k, latency_ms(r), r.labels()) if r else (k, None, None)
             for k, r in enumerate(routes, start=1)]
@@ -376,6 +391,67 @@ class TestSlotEngine:
             alone, _ = run_scenarios([scenario], default_cfg, params, duration_s=12)[0]
             assert all(r is not None for r in alone)
             assert route_rows(routes) == route_rows(alone)
+
+    @pytest.mark.parametrize("lisl_range_km", [1500.0, 6000.0])
+    def test_tenth_of_the_budget_falls_back_to_the_same_routes(self, monkeypatch,
+                                                               lisl_range_km):
+        cfg = ConstellationConfig(phase_factor=11, epoch=777.0)
+        params = TopologyParams(lisl_range_km=lisl_range_km, min_elevation_deg=30.0)
+        budget_km = experiment.route_budget_km
+        monkeypatch.setattr(experiment, "route_budget_km", lambda *a: budget_km(*a) / 10.0)
+        fallbacks = spy_fallbacks(monkeypatch)
+        scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
+        runs = run_scenarios(scenarios, cfg, params, duration_s=12)
+        # Every block falls back at its first slot.
+        assert fallbacks == [0.0, 10.0]
+        constellation = Constellation(cfg)
+        for scenario, (routes, _) in zip(scenarios, runs):
+            for t, route in enumerate(routes):
+                graph = build_snapshot(constellation, [scenario.src, scenario.dst], float(t),
+                                       params)
+                assert route == shortest_path(graph, NodeRef.ground(scenario.src.label),
+                                              NodeRef.ground(scenario.dst.label))
+
+    def test_route_beyond_budget_falls_back_mid_block(self, monkeypatch):
+        # New York-Dublin's latency rises over the first block at this epoch.
+        # With the budget between the latencies of slots 4 and 5, slots 1-4
+        # stand on the pruned set; slot 5 and the rest of its block route
+        # on the full set, and the second block starts beyond the budget.
+        cfg = ConstellationConfig(phase_factor=11, epoch=777.0)
+        params = TopologyParams(min_elevation_deg=30.0)
+        scenario = exchange_pair("New York", "Dublin")
+        constellation = Constellation(cfg)
+        src, dst = NodeRef.ground(scenario.src.label), NodeRef.ground(scenario.dst.label)
+        reference = [shortest_path(build_snapshot(constellation, [scenario.src, scenario.dst],
+                                                  float(t), params), src, dst)
+                     for t in range(20)]
+        latency = [r.total_latency_s for r in reference]
+        assert latency[:10] == sorted(latency[:10]) and min(latency[10:18]) > latency[4]
+        km_per_s = constellation.constants.c_vacuum / 1000.0
+        budget_km = (latency[3] + latency[4]) / 2.0 * km_per_s
+        monkeypatch.setattr(experiment, "route_budget_km", lambda *a: budget_km)
+        fallbacks = spy_fallbacks(monkeypatch)
+        engine = experiment._SlotEngine(cfg, params, [scenario], constellation.constants)
+        built = []
+        for t, (route,) in enumerate(engine.route_slots([float(t) for t in range(20)])):
+            assert route == reference[t], t
+            built.append(len(fallbacks))
+        assert built == [0] * 4 + [1] * 6 + [2] * 10
+        assert fallbacks == [0.0, 10.0]
+
+    def test_fifteen_exchange_pairs_keep_the_whole_shell(self, default_cfg):
+        # The ellipsoids of the fifteen pairs of the six exchanges hold the
+        # shell with over 800 km to spare: a run over them never prunes, so
+        # it checks no slot.
+        cities = list(EXCHANGE_COORDINATES)
+        scenarios = [exchange_pair(a, b) for k, a in enumerate(cities) for b in cities[k + 1:]]
+        params = TopologyParams(min_elevation_deg=30.0)
+        engine = experiment._SlotEngine(default_cfg, params, scenarios, CONSTANTS)
+        times = [60.0 * k for k in range(30)] + [4000.0 + k for k in range(10)]
+        blocks = list(topology.candidate_blocks(engine.constellation, engine.stations, times,
+                                                params, engine.budgets))
+        assert len(blocks) == 31
+        assert not any(candidates.pruned for candidates, _ in blocks)
 
     def test_no_scenarios(self, default_cfg):
         assert run_scenarios([], default_cfg, TopologyParams(), duration_s=5) == []

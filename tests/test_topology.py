@@ -17,6 +17,7 @@ from leolat import (
     geodetic_to_inertial,
     neighbor_census,
     parse_sat_id,
+    shortest_path,
 )
 from leolat.constellation import orbit_radius_km, orbital_period_s, orbital_speed_km_s
 from leolat.geo import elevation_angles
@@ -27,6 +28,7 @@ from leolat.topology import (
     candidate_blocks,
     pair_lengths,
     plane_link_class,
+    route_budget_km,
     slot_links,
 )
 
@@ -198,10 +200,12 @@ def test_pair_lengths_match_row_norms(seed, n_points, n_pairs, radius):
     xyz *= radius / np.linalg.norm(xyz, axis=1)[:, None]
     i = rng.integers(0, n_points, n_pairs)
     j = rng.integers(0, n_points, n_pairs)
-    got = pair_lengths(xyz.T.copy(), i, j)
     want = np.linalg.norm(xyz[i] - xyz[j], axis=1)
-    assert got.shape == want.shape == (n_pairs,)
-    assert got.tobytes() == want.tobytes()
+    # int32 indices are what the slot engine's candidates hold.
+    for dtype in (np.intp, np.int32):
+        got = pair_lengths(xyz.T.copy(), i.astype(dtype), j.astype(dtype))
+        assert got.shape == want.shape == (n_pairs,)
+        assert got.tobytes() == want.tobytes(), dtype
 
 
 class TestCensus:
@@ -300,6 +304,67 @@ class TestLinkCandidates:
                 for t in block:
                     assert link_labels(candidates.links_at(t), small_constellation, STATIONS) \
                         == brute_force_edge_set(small_constellation, STATIONS, t, params), (t, r)
+
+    @pytest.mark.parametrize("stations", [STATIONS, [GeodeticPoint(51.5, -0.1, "London"),
+                                                     GeodeticPoint(53.3, -6.3, "Dub")]],
+                             ids=["NY-Dub", "London-Dub"])
+    @pytest.mark.parametrize("lisl_range_km", [1500.0, 6000.0])
+    def test_budget_keeps_every_route_within_it_over_an_orbit(self, lisl_range_km, stations):
+        # Each route is also kept by the block pruned to its own length, the
+        # tightest budget that accepts it: a one-satellite route lies on that
+        # ellipsoid, and routes after t0 need the motion bound. 3 s slots
+        # make blocks of 4 slots spanning 9 s, as 1 s slots do.
+        shell = Constellation(self.ORBIT_SHELL)
+        params = TopologyParams(lisl_range_km=lisl_range_km)
+        src, dst = (NodeRef.ground(st.label) for st in stations)
+        km_per_s = shell.constants.c_vacuum / 1000.0
+        budget_km = route_budget_km(shell, *stations, params)
+        period = orbital_period_s(shell.cfg, shell.constants)
+        times = [float(k * 3) for k in range(math.ceil(period / 3) + 1)]
+        within = pruned = 0
+        for candidates, block in candidate_blocks(shell, stations, times, params,
+                                                  [(0, 1, budget_km)]):
+            assert candidates.span_s == 9.0 or block[-1] == times[-1]
+            pruned += candidates.pruned
+            for t in block:
+                route = shortest_path(build_snapshot(shell, stations, t, params), src, dst)
+                if route is None or route.total_latency_s * km_per_s > budget_km:
+                    continue
+                within += 1
+                sats = [shell.sat_index[n.label] for n in route.nodes if not n.is_ground]
+                tight = LinkCandidates(shell, stations, block[0], candidates.span_s, params,
+                                       [(0, 1, route.total_latency_s * km_per_s)])
+                assert candidates.kept[sats].all() and tight.kept[sats].all(), t
+        assert pruned > 0 and within > 0
+
+    def test_budget_keeping_the_whole_shell_changes_nothing(self, default_constellation):
+        params = TopologyParams(lisl_range_km=6000.0)
+        full = LinkCandidates(default_constellation, STATIONS, 50.0, 9.0, params)
+        whole = LinkCandidates(default_constellation, STATIONS, 50.0, 9.0, params,
+                               [(0, 1, 1e6)])
+        assert not full.pruned and not whole.pruned and whole.kept.all()
+        for name in ("pair_i", "pair_j", "cone_sats", "cone_ptr"):
+            a, b = getattr(full, name), getattr(whole, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert a.flags.c_contiguous and b.flags.c_contiguous, name
+
+    def test_pruned_set_keeps_global_ascending_numbering(self, default_constellation):
+        params = TopologyParams(min_elevation_deg=30.0)
+        budget_km = route_budget_km(default_constellation, *STATIONS, params)
+        full = LinkCandidates(default_constellation, STATIONS, 50.0, 9.0, params)
+        cut = LinkCandidates(default_constellation, STATIONS, 50.0, 9.0, params,
+                             [(0, 1, budget_km)])
+        assert cut.pruned and 0 < cut.kept.sum() < len(default_constellation)
+        kept = cut.kept
+        # The candidates among the kept satellites, with their global numbers.
+        both = kept[full.pair_i] & kept[full.pair_j]
+        assert {*zip(cut.pair_i.tolist(), cut.pair_j.tolist())} \
+            == {*zip(full.pair_i[both].tolist(), full.pair_j[both].tolist())}
+        assert (cut.pair_i < cut.pair_j).all()
+        for s in range(len(STATIONS)):
+            cone = full.cone_sats[full.cone_ptr[s]:full.cone_ptr[s + 1]]
+            assert cut.cone_sats[cut.cone_ptr[s]:cut.cone_ptr[s + 1]].tolist() \
+                == cone[kept[cone]].tolist()
 
     def test_measuring_outside_the_block_is_refused(self, small_constellation):
         candidates = LinkCandidates(small_constellation, STATIONS, 10.0, 5.0, TopologyParams())
