@@ -11,14 +11,11 @@ over the hour-scale horizons this package targets.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geo import CONSTANTS, PhysicalConstants, check_fields
-
-_SAT_ID_RE = re.compile(r"^x1(\d{2})(\d{2})$")
 
 
 @dataclass(frozen=True)
@@ -69,17 +66,6 @@ def format_sat_id(plane: int, slot: int) -> str:
     if not 1 <= plane <= 99 or not 1 <= slot <= 99:
         raise ValueError(f"plane/slot ({plane}, {slot}) outside the two-digit ID scheme")
     return f"x1{plane:02d}{slot:02d}"
-
-
-def parse_sat_id(sat_id: str) -> tuple[int, int]:
-    """Inverse of format_sat_id; rejects malformed strings."""
-    m = _SAT_ID_RE.match(sat_id)
-    if not m:
-        raise ValueError(f"malformed satellite ID {sat_id!r}")
-    plane, slot = int(m.group(1)), int(m.group(2))
-    if plane == 0 or slot == 0:
-        raise ValueError(f"satellite ID {sat_id!r} has out-of-range plane/slot")
-    return plane, slot
 
 
 def orbit_radius_km(cfg: ConstellationConfig, constants: PhysicalConstants = CONSTANTS) -> float:

@@ -34,9 +34,12 @@ latency at the vacuum speed of light. It is the reference graph that the
 benchmark's output check and the tests route on with
 routing.shortest_path.
 
-Node ordering is total and deterministic: ground stations first (by
-label), then satellites (by ID). Everything downstream that breaks ties
-does so in this order.
+Every graph numbers its stations first and its satellites after them in
+ID order, and routing breaks ties towards the smaller node number. Only
+build_snapshot sorts its stations by label; the slot engine numbers them
+in order of first appearance in the scenarios. Its stations never relay,
+and every station sorts before every satellite, so there station order
+cannot decide a tie.
 """
 
 from __future__ import annotations
@@ -48,12 +51,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .constellation import (
-    Constellation,
-    ConstellationConfig,
-    orbit_radius_km,
-    orbital_speed_km_s,
-)
+from .constellation import Constellation, orbit_radius_km, orbital_speed_km_s
 from .geo import (
     CONSTANTS,
     GeodeticPoint,
@@ -96,10 +94,6 @@ class NodeRef:
     def is_ground(self) -> bool:
         return self.kind == "ground"
 
-    def sort_key(self) -> tuple[int, str]:
-        # Ground stations order before satellites.
-        return (0 if self.kind == "ground" else 1, self.label)
-
 
 @dataclass(frozen=True)
 class TopologyParams:
@@ -126,8 +120,9 @@ def plane_link_class(plane_i: np.ndarray, plane_j: np.ndarray, num_planes: int) 
 class SnapshotGraph:
     """Immutable weighted graph of one time slot.
 
-    Nodes are indexed 0..n-1 in NodeRef order; each undirected edge is
-    stored once with edge_i < edge_j.
+    Nodes are indexed 0..n-1, the ground stations first and the
+    satellites after them; each undirected edge is stored once with
+    edge_i < edge_j.
     """
 
     slot_index: int
@@ -383,19 +378,3 @@ def build_snapshot(
         edge_dist_km=edge_d,
         c_vacuum=constellation.constants.c_vacuum,
     )
-
-
-def neighbor_census(links, n_stations: int, cfg: ConstellationConfig) -> np.ndarray:
-    """(n_sats, 4) link counts per satellite, in columns intra-plane,
-    adjacent-plane, crossing-plane and ground, from slot_links' edge arrays
-    over n_stations stations; each row sums to the satellite's degree."""
-    edge_i, edge_j, _ = links
-    laser = edge_i >= n_stations
-    sat_i, sat_j = edge_i[laser] - n_stations, edge_j[laser] - n_stations
-    counts = np.zeros((cfg.total_sats, 4), dtype=np.int64)
-    cls = plane_link_class(sat_i // cfg.sats_per_plane, sat_j // cfg.sats_per_plane,
-                           cfg.num_planes)
-    np.add.at(counts, (sat_i, cls), 1)
-    np.add.at(counts, (sat_j, cls), 1)
-    counts[:, 3] = np.bincount(edge_j[~laser] - n_stations, minlength=cfg.total_sats)
-    return counts

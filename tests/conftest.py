@@ -1,23 +1,19 @@
 import math
 import random
+import re
 from heapq import heappop, heappush
 
 import numpy as np
 import pytest
 
-from leolat import (
-    CONSTANTS,
-    Constellation,
-    ConstellationConfig,
-    NodeRef,
-    SnapshotGraph,
-    TopologyParams,
-    geodetic_to_inertial,
-)
-from leolat.geo import elevation_angles, segments_clear
+from leolat.constellation import Constellation, ConstellationConfig
+from leolat.geo import CONSTANTS, elevation_angles, geodetic_to_inertial, segments_clear
+from leolat.topology import NodeRef, SnapshotGraph, TopologyParams, plane_link_class
 
 # Distance that makes one edge weigh exactly 1 ms at the vacuum speed of light.
 KM_PER_MS = 299.792458
+
+_SAT_ID_RE = re.compile(r"^x1(\d{2})(\d{2})$")
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +45,9 @@ def snapshot_from_edges(edges, nodes=(), c_vacuum: float = CONSTANTS.c_vacuum) -
     non-positive distances are rejected.
     """
     edges = list(edges)
-    ordered = sorted(set(nodes) | {n for a, b, _ in edges for n in (a, b)}, key=NodeRef.sort_key)
+    # Stations before satellites, each by label, as build_snapshot numbers them.
+    ordered = sorted(set(nodes) | {n for a, b, _ in edges for n in (a, b)},
+                     key=lambda n: (not n.is_ground, n.label))
     index = {n: k for k, n in enumerate(ordered)}
     seen = set()
     ei, ej, dist = [], [], []
@@ -77,6 +75,33 @@ def snapshot_from_edges(edges, nodes=(), c_vacuum: float = CONSTANTS.c_vacuum) -
         edge_dist_km=np.array(dist, dtype=float)[order],
         c_vacuum=c_vacuum,
     )
+
+
+def parse_sat_id(sat_id: str) -> tuple[int, int]:
+    """Inverse of constellation.format_sat_id; rejects malformed strings."""
+    m = _SAT_ID_RE.match(sat_id)
+    if not m:
+        raise ValueError(f"malformed satellite ID {sat_id!r}")
+    plane, slot = int(m.group(1)), int(m.group(2))
+    if plane == 0 or slot == 0:
+        raise ValueError(f"satellite ID {sat_id!r} has out-of-range plane/slot")
+    return plane, slot
+
+
+def neighbor_census(links, n_stations: int, cfg: ConstellationConfig) -> np.ndarray:
+    """(n_sats, 4) link counts per satellite, in columns intra-plane,
+    adjacent-plane, crossing-plane and ground, from slot_links' edge arrays
+    over n_stations stations; each row sums to the satellite's degree."""
+    edge_i, edge_j, _ = links
+    laser = edge_i >= n_stations
+    sat_i, sat_j = edge_i[laser] - n_stations, edge_j[laser] - n_stations
+    counts = np.zeros((cfg.total_sats, 4), dtype=np.int64)
+    cls = plane_link_class(sat_i // cfg.sats_per_plane, sat_j // cfg.sats_per_plane,
+                           cfg.num_planes)
+    np.add.at(counts, (sat_i, cls), 1)
+    np.add.at(counts, (sat_j, cls), 1)
+    counts[:, 3] = np.bincount(edge_j[~laser] - n_stations, minlength=cfg.total_sats)
+    return counts
 
 
 def node_refs(graph: SnapshotGraph) -> list[NodeRef]:

@@ -29,28 +29,23 @@ from conftest import (
     brute_force_edge_set,
     edge_set,
     enumerate_paths_oracle,
+    neighbor_census,
     node_refs,
     random_snapshot,
 )
-from leolat import (
-    ConstellationConfig,
-    TopologyParams,
-    build_snapshot,
-    builtin_scenarios,
-    chord_bound_ms,
-    great_circle_distance,
-    neighbor_census,
-    oftn_latency,
-    run_scenarios,
-    shortest_path,
-)
-from leolat.constellation import orbital_period_s
-from leolat.topology import slot_links
+from leolat.constellation import ConstellationConfig, orbital_period_s
 from leolat.experiment import (
     REPRODUCTION_MIN_ELEVATION_DEG,
     REPRODUCTION_PHASE_FACTOR,
+    builtin_scenarios,
+    chord_bound_ms,
     compare,
+    oftn_latency,
+    run_scenarios,
 )
+from leolat.geo import great_circle_distance
+from leolat.routing import shortest_path
+from leolat.topology import TopologyParams, build_snapshot, slot_links
 
 # Reference comparison values for the three city pairs (fiber baseline,
 # satellite-network hour average, improvement percent, surface distance).

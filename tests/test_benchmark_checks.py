@@ -65,3 +65,7 @@ def test_traced_run_completes(tmp_path, argv):
     assert dump["exit_code"] == 0 and dump["spans"]
     names = {span[0] for span in dump["spans"]}
     assert {"topology.pair_search", "geo.elevation", "constellation.propagate"} <= names
+    # The callables the tracer patches but the program no longer has. A
+    # rename of any other patched callable would zero its metric silently.
+    assert dump["missing"] == ["leolat.cli.run_scenario", "leolat.experiment.build_snapshot",
+                               "leolat.experiment.shortest_path", "SnapshotGraph.csr"]

@@ -562,6 +562,25 @@ class TestConfigLoading:
         assert "label" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["~", "12", "true"])
+    @pytest.mark.parametrize("command", ["run", "distances"])
+    def test_non_string_scenario_names_rejected(self, tmp_path, capsys, command, name):
+        p = tmp_path / "bad.yaml"
+        p.write_text(
+            "duration_s: 2\nscenarios:\n"
+            "  - name: A-B\n"
+            "    src: {latitude_deg: 10.0, longitude_deg: 20.0, label: a}\n"
+            "    dst: {latitude_deg: 20.0, longitude_deg: 30.0, label: b}\n"
+            f"  - name: {name}\n"
+            "    src: {latitude_deg: 10.0, longitude_deg: 20.0, label: a}\n"
+            "    dst: {latitude_deg: 30.0, longitude_deg: 40.0, label: c}\n"
+        )
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "scenario #2" in err and "name" in err
+        assert [x.name for x in tmp_path.iterdir()] == ["bad.yaml"]
+
 
 class TestWriteFailure:
     @pytest.mark.parametrize("command", [

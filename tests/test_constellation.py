@@ -4,8 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from leolat import CONSTANTS, Constellation, ConstellationConfig, parse_sat_id
-from leolat.constellation import format_sat_id, orbital_period_s
+from conftest import parse_sat_id
+from leolat.constellation import (
+    Constellation,
+    ConstellationConfig,
+    format_sat_id,
+    orbital_period_s,
+)
+from leolat.geo import CONSTANTS
 
 A = 6928.0  # shell radius at 550 km over the 6,378 km Earth
 

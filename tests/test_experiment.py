@@ -6,22 +6,20 @@ import pytest
 
 from conftest import heap_route
 from leolat import experiment, topology
-from leolat import (
-    CONSTANTS,
-    Constellation,
-    ConstellationConfig,
-    GeodeticPoint,
-    NodeRef,
+from leolat.constellation import Constellation, ConstellationConfig
+from leolat.experiment import (
+    EXCHANGE_COORDINATES,
     Scenario,
-    TopologyParams,
-    build_snapshot,
     builtin_scenarios,
-    great_circle_distance,
+    chord_bound_ms,
+    compare,
     oftn_latency,
     run_scenarios,
-    shortest_path,
+    summarize,
 )
-from leolat.experiment import EXCHANGE_COORDINATES, chord_bound_ms, compare, summarize
+from leolat.geo import CONSTANTS, GeodeticPoint, great_circle_distance
+from leolat.routing import shortest_path
+from leolat.topology import NodeRef, TopologyParams, build_snapshot
 
 
 class TestFiberBaseline:

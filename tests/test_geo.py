@@ -4,15 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from leolat import (
+from leolat.experiment import EXCHANGE_COORDINATES
+from leolat.geo import (
     CONSTANTS,
     GeodeticPoint,
+    elevation_angles,
     geodetic_to_inertial,
     great_circle_distance,
     inertial_to_geodetic,
+    segments_clear,
 )
-from leolat.experiment import EXCHANGE_COORDINATES
-from leolat.geo import elevation_angles, segments_clear
 
 R = CONSTANTS.earth_radius_km
 

@@ -20,14 +20,9 @@ from conftest import (
     snapshot_from_edges,
 )
 import leolat
-from leolat import (
-    NodeRef,
-    TopologyParams,
-    build_snapshot,
-    builtin_scenarios,
-    chord_bound_ms,
-    shortest_path,
-)
+from leolat.experiment import builtin_scenarios, chord_bound_ms
+from leolat.routing import shortest_path
+from leolat.topology import NodeRef, TopologyParams, build_snapshot
 
 
 def ground(*labels):
@@ -212,3 +207,14 @@ def test_cli_import_leaves_csgraph_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr or "leolat.cli imported scipy.sparse.csgraph"
+
+
+def test_package_root_loads_no_numpy():
+    # The package root holds only __version__; each name is imported from
+    # the module that defines it.
+    code = ("import sys, leolat; assert leolat.__version__; "
+            "sys.exit(' '.join(sorted({'numpy', 'scipy'} & set(sys.modules))) or None)")
+    src = str(Path(leolat.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

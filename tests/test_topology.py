@@ -5,26 +5,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import adjacency, brute_force_edge_set, edge_set, snapshot_from_edges
-from leolat import (
-    CONSTANTS,
-    Constellation,
-    ConstellationConfig,
-    GeodeticPoint,
-    NodeRef,
-    TopologyParams,
-    build_snapshot,
-    geodetic_to_inertial,
+from conftest import (
+    adjacency,
+    brute_force_edge_set,
+    edge_set,
     neighbor_census,
     parse_sat_id,
-    shortest_path,
+    snapshot_from_edges,
 )
-from leolat.constellation import orbit_radius_km, orbital_period_s, orbital_speed_km_s
-from leolat.geo import elevation_angles
-from leolat.routing import link_latencies
+from leolat.constellation import (
+    Constellation,
+    ConstellationConfig,
+    orbit_radius_km,
+    orbital_period_s,
+    orbital_speed_km_s,
+)
+from leolat.geo import CONSTANTS, GeodeticPoint, elevation_angles, geodetic_to_inertial
+from leolat.routing import link_latencies, shortest_path
 from leolat.topology import (
     BLOCK_MARGIN_KM,
     LinkCandidates,
+    NodeRef,
+    TopologyParams,
+    build_snapshot,
     candidate_blocks,
     pair_lengths,
     plane_link_class,
