@@ -23,7 +23,7 @@ from .geo import (
     great_circle_distance,
     inertial_to_geodetic,
 )
-from .constellation import ConstellationConfig
+from .constellation import Constellation, ConstellationConfig
 from .topology import TopologyParams
 from .experiment import (
     REPRODUCTION_MIN_ELEVATION_DEG,
@@ -89,6 +89,15 @@ class RunConfig:
             raise ValueError(f"scenario names need a letter or digit to name files: {unnamed}")
         if len(set(stems)) != len(stems):
             raise ValueError("scenario names collide after slugification; rename them")
+        # The path column joins node labels with "|": a station label must
+        # neither contain it nor read as a satellite of the shell.
+        sat_index = Constellation(self.constellation).sat_index
+        for s in self.scenarios:
+            for label in (s.src.label, s.dst.label):
+                if "|" in label or label in sat_index:
+                    raise ValueError(f"scenario {s.name!r}: station label {label!r} " + (
+                        "contains '|', the path separator" if "|" in label
+                        else "is a satellite ID of the shell"))
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ValueError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
         if not self.formats:

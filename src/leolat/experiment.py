@@ -204,46 +204,38 @@ class _SlotEngine:
         candidate set and layout."""
         for candidates, block in candidate_blocks(self.constellation, self.stations, times,
                                                   self.params, self.budgets):
-            graph, pair_of = self._layout(candidates)
+            graph, link_of = self._layout(candidates)
             for t in block:
-                routes = self._route(graph, pair_of, *candidates.at(t))
+                routes = self._route(graph, link_of, *candidates.at(t))
                 if candidates.pruned and not all(
                         r is not None and r.total_latency_s <= b
                         for r, b in zip(routes, self.budgets_s)):
                     # Let the pruned set go before the full one is built.
                     t0, span_s = candidates.t0, candidates.span_s
-                    candidates = graph = pair_of = None
+                    candidates = graph = link_of = None
                     candidates = LinkCandidates(self.constellation, self.stations, t0, span_s,
                                                 self.params)
-                    graph, pair_of = self._layout(candidates)
-                    routes = self._route(graph, pair_of, *candidates.at(t))
+                    graph, link_of = self._layout(candidates)
+                    routes = self._route(graph, link_of, *candidates.at(t))
                 yield routes
             # Let this block go before the next one is built.
-            candidates = graph = pair_of = None
+            candidates = graph = link_of = None
 
     def _layout(self, candidates: LinkCandidates) -> tuple[csr_matrix, np.ndarray]:
-        """The block's graph, its data still unset, and for each entry of the
-        satellite rows the candidate pair whose latency it holds."""
-        n_st, n = len(self.stations), len(self.nodes)
-        pair_of, indptr, sat_heads = csr_layout(n, candidates.pair_i + n_st,
-                                                candidates.pair_j + n_st)
-        # The station rows, empty so far, are the candidate cones.
-        indptr[1:n_st + 1] = candidates.cone_ptr[1:]
-        indptr[n_st + 1:] += indptr[n_st]
-        indices = np.concatenate([candidates.cone_sats + n_st, sat_heads])
-        return csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n)), pair_of
+        """The block's graph, its data still unset, and for each entry the
+        candidate link whose latency it holds. The uplinks are one-way: the
+        station rows hold them, and no edge enters a station."""
+        n = len(self.nodes)
+        link_of, indptr, indices = csr_layout(n, candidates.link_i, candidates.link_j,
+                                              one_way=candidates.cone_ptr[-1])
+        return csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n)), link_of
 
-    def _route(self, graph: csr_matrix, pair_of: np.ndarray, isl_dist_km: np.ndarray,
-               isl_keep: np.ndarray, slant_km: np.ndarray,
-               seen: np.ndarray) -> list[Route | None]:
-        c_vacuum = self.constellation.constants.c_vacuum
+    def _route(self, graph: csr_matrix, link_of: np.ndarray, dist_km: np.ndarray,
+               is_link: np.ndarray) -> list[Route | None]:
         data, indptr = graph.data, graph.indptr
-        n_up = indptr[len(self.stations)]
-        isl_lat = link_latencies(isl_dist_km, c_vacuum, out=isl_dist_km)
-        isl_lat[~isl_keep] = np.inf
-        np.take(isl_lat, pair_of, out=data[n_up:], mode="clip")
-        up_lat = link_latencies(slant_km, c_vacuum, out=data[:n_up])
-        up_lat[~seen] = np.inf
+        lat = link_latencies(dist_km, self.constellation.constants.c_vacuum, out=dist_km)
+        lat[~is_link] = np.inf
+        np.take(lat, link_of, out=data, mode="clip")
         # Each satellite's downlink latency to a destination is the
         # destination's uplink read backwards.
         n = len(self.nodes)

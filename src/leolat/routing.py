@@ -49,24 +49,26 @@ def link_latencies(
 
 
 def csr_layout(
-    n_nodes: int, edge_i: np.ndarray, edge_j: np.ndarray
+    n_nodes: int, edge_i: np.ndarray, edge_j: np.ndarray, one_way: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(edge_of, indptr, indices), all int32, of a CSR matrix holding each
-    edge edge_i[k] - edge_j[k] in both directions: entry m of the matrix is
-    a direction of edge edge_of[m].
+    edge edge_i[k] - edge_j[k] in both directions, or only as edge_i[k] ->
+    edge_j[k] for k < one_way: entry m of the matrix is a direction of edge
+    edge_of[m].
 
-    The arcs are each edge i -> j, then each edge j -> i, grouped by tail
-    with a stable sort, so within a row they keep that order. The tails are
-    sorted as the narrowest unsigned type that holds every node number: for
-    up to 65,536 nodes that is 16 bits, which numpy sorts stably by radix
-    sort.
+    The arcs are each edge i -> j, then each two-way edge j -> i, grouped by
+    tail with a stable sort, so within a row they keep that order. The
+    tails are sorted as the narrowest unsigned type that holds every node
+    number: for up to 65,536 nodes that is 16 bits, which numpy sorts
+    stably by radix sort.
     """
-    tails = np.concatenate([edge_i, edge_j])
+    tails = np.concatenate([edge_i, edge_j[one_way:]])
     order = np.argsort(tails.astype(np.min_scalar_type(n_nodes)), kind="stable")
     indptr = np.zeros(n_nodes + 1, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=n_nodes), out=indptr[1:])
-    indices = np.concatenate([edge_j, edge_i])[order].astype(np.int32, copy=False)
-    return np.remainder(order, len(edge_i), out=order).astype(np.int32), indptr, indices
+    indices = np.concatenate([edge_j, edge_i[one_way:]])[order].astype(np.int32, copy=False)
+    order[order >= len(edge_i)] -= len(edge_i) - one_way
+    return order.astype(np.int32), indptr, indices
 
 
 def distances_from(graph: csr_matrix, sources) -> np.ndarray:

@@ -15,10 +15,10 @@ with slant range, sin el = (r^2 - R^2 - d^2) / (2 R d), so each station
 keeps the cone of satellites within the slant range of its mask widened by
 the second bound; route budgets may prune both (see LinkCandidates). Each
 slot of the block then measures only the candidates and applies the exact
-predicates: pair_lengths <= reach and elevation >= mask. slot_links is the
-one-slot case, a block of span 0 built and measured at the same instant;
-the slot engine routes every CLI command on candidate sets spanning up to
-BLOCK_MARGIN_KM of motion.
+predicates: pair_lengths <= reach and elevation >= mask. build_snapshot
+takes the one-slot case, a block of span 0 built and measured at the same
+instant; the slot engine routes every CLI command on candidate sets
+spanning up to BLOCK_MARGIN_KM of motion.
 
 The line-of-sight test rests on the shell being one sphere of radius r:
 the chord between two of its satellites clears the Earth exactly when it
@@ -201,11 +201,12 @@ def _station_xyz(station: GeodeticPoint, t: float, constants) -> np.ndarray:
 class LinkCandidates:
     """Every link that can exist at some instant of [t0, t0 + span_s].
 
-    pair_i < pair_j are the candidate laser pairs, and station s's candidate
-    satellites are cone_sats[cone_ptr[s]:cone_ptr[s + 1]] in ascending order,
-    as the station rows of a CSR graph; both are int32 (see the module
-    docstring for the bounds that size them). at(t) measures the candidates
-    at any t of the block and links_at(t) keeps the links among them.
+    The candidates are one int32 edge list link_i < link_j in graph
+    numbering, stations first and satellites after them. Station s's
+    uplinks come first, station by station: links cone_ptr[s]:cone_ptr[s +
+    1], to its candidate satellites in ascending order. The laser pairs
+    follow (see the module docstring for the bounds that size both). at(t)
+    measures the links at any t of the block.
 
     Each of the budgets (a, b, L = c * B) prunes: a route of latency <= B
     from station a to b has every node x in the ellipsoid |x - a| + |x - b|
@@ -264,52 +265,42 @@ class LinkCandidates:
             self.kept |= ranges[a] + ranges[b] <= budget_km * (1.0 + _CONE_MARGIN) + 2.0 * drift
         self.pruned = not self.kept.all()
         sats = np.flatnonzero(self.kept)
-        self.pair_i, self.pair_j = sats[cKDTree(self._xyz0[sats]).query_pairs(
+        pairs = sats[cKDTree(self._xyz0[sats]).query_pairs(
             r=self.reach * (1.0 + _CHORD_MARGIN) + 2.0 * speed * span_s,
-            output_type="ndarray")].T.astype(np.int32, order="C")
+            output_type="ndarray")]
 
         cone_km = mask_slant_km(constellation, params.min_elevation_deg) * (1.0 + _CONE_MARGIN)
         cones = [np.flatnonzero((r <= cone_km + drift) & self.kept) for r in ranges]
-        self.cone_sats = np.concatenate([np.zeros(0, np.int32)] + cones).astype(np.int32)
         self.cone_ptr = np.cumsum([0] + [len(cone) for cone in cones])
+        n_st = len(self.stations)
+        self.link_i = np.concatenate([np.repeat(np.arange(n_st), np.diff(self.cone_ptr)),
+                                      pairs[:, 0] + n_st]).astype(np.int32)
+        self.link_j = (np.concatenate(cones + [pairs[:, 1]]) + n_st).astype(np.int32)
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The candidates measured at t, as (isl_dist_km, isl_keep, slant_km,
-        seen): each candidate pair's length and whether it is a link, and
-        over cone_sats each station-satellite range and whether the satellite
-        is at or above the station's mask. t must lie in the block."""
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates measured at t, as (dist_km, is_link): each
+        candidate link's length and whether it is a link at t. t must lie in
+        the block."""
         if not 0.0 <= t - self.t0 <= self.span_s:
             raise ValueError(f"t = {t} lies outside the block of {self.span_s} s "
                              f"from {self.t0}")
         constants = self.constellation.constants
         sats_xyz = self._xyz0 if t == self.t0 else self.constellation.positions_at(t)
-        isl_dist = pair_lengths(sats_xyz.T.copy(), self.pair_i, self.pair_j)
-        keep = isl_dist <= self.reach
-        if self.occlude:
-            band = np.flatnonzero(isl_dist >= self.tangent * (1.0 - _CHORD_MARGIN))
-            band = band[keep[band]]
-            if len(band):
-                keep[band] = segments_clear(sats_xyz[self.pair_i[band]],
-                                            sats_xyz[self.pair_j[band]], constants.earth_radius_km)
-        sats = sats_xyz[self.cone_sats]
         gs_xyz = np.array([_station_xyz(st, t, constants) for st in self.stations]).reshape(-1, 3)
-        elev = np.empty(len(sats))
+        xyz = np.concatenate([gs_xyz, sats_xyz])
+        dist = pair_lengths(xyz.T.copy(), self.link_i, self.link_j)
+        is_link = dist <= self.reach
         for gs, lo, hi in zip(gs_xyz, self.cone_ptr, self.cone_ptr[1:]):
-            elev[lo:hi] = elevation_angles(gs, sats[lo:hi])
-        slant = np.linalg.norm(sats - np.repeat(gs_xyz, np.diff(self.cone_ptr), axis=0), axis=1)
-        return isl_dist, keep, slant, elev >= self.params.min_elevation_deg
-
-    def links_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The links among the candidates at t, as (edge_i, edge_j, dist_km)
-        arrays, each link once with edge_i < edge_j, numbering the stations
-        first and the satellites after them: each station's uplinks,
-        station by station, then the laser links."""
-        isl_dist, keep, slant, seen = self.at(t)
-        n_st = len(self.stations)
-        station_of = np.repeat(np.arange(n_st, dtype=np.int32), np.diff(self.cone_ptr))
-        return (np.concatenate([station_of[seen], self.pair_i[keep] + n_st]),
-                np.concatenate([self.cone_sats[seen] + n_st, self.pair_j[keep] + n_st]),
-                np.concatenate([slant[seen], isl_dist[keep]]))
+            is_link[lo:hi] = elevation_angles(gs, xyz[self.link_j[lo:hi]]) \
+                >= self.params.min_elevation_deg
+        if self.occlude:
+            # An uplink is at most half the tangent chord, so never in the band.
+            band = np.flatnonzero(dist >= self.tangent * (1.0 - _CHORD_MARGIN))
+            band = band[is_link[band]]
+            if len(band):
+                is_link[band] = segments_clear(xyz[self.link_i[band]], xyz[self.link_j[band]],
+                                               constants.earth_radius_km)
+        return dist, is_link
 
 
 def candidate_blocks(
@@ -341,17 +332,6 @@ def candidate_blocks(
         start = stop
 
 
-def slot_links(
-    constellation: Constellation,
-    stations: Sequence[GeodeticPoint],
-    t: float,
-    params: TopologyParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Laser pairs within range and station-satellite links above the mask
-    at t, as the edge arrays of a one-slot LinkCandidates.links_at."""
-    return LinkCandidates(constellation, stations, t, 0.0, params).links_at(t)
-
-
 def build_snapshot(
     constellation: Constellation,
     stations: Sequence[GeodeticPoint],
@@ -361,20 +341,22 @@ def build_snapshot(
 ) -> SnapshotGraph:
     """Snapshot of the constellation plus ground stations at time t.
 
-    The links are those of slot_links; isolated nodes are legal.
+    The links are those of a LinkCandidates block of span 0 at t;
+    isolated nodes are legal.
     """
     labels = [s.label for s in stations]
     if len(set(labels)) != len(labels):
         raise ValueError("ground station labels must be unique")
     ordered = sorted(stations, key=lambda s: s.label)
-    edge_i, edge_j, edge_d = slot_links(constellation, ordered, t, params)
+    candidates = LinkCandidates(constellation, ordered, t, 0.0, params)
+    dist, is_link = candidates.at(t)
     return SnapshotGraph(
         slot_index=slot_index,
         time_s=t,
         ground_labels=tuple(s.label for s in ordered),
         sat_ids=constellation.sat_ids,
-        edge_i=edge_i,
-        edge_j=edge_j,
-        edge_dist_km=edge_d,
+        edge_i=candidates.link_i[is_link],
+        edge_j=candidates.link_j[is_link],
+        edge_dist_km=dist[is_link],
         c_vacuum=constellation.constants.c_vacuum,
     )

@@ -8,7 +8,13 @@ import pytest
 
 from leolat.constellation import Constellation, ConstellationConfig
 from leolat.geo import CONSTANTS, elevation_angles, geodetic_to_inertial, segments_clear
-from leolat.topology import NodeRef, SnapshotGraph, TopologyParams, plane_link_class
+from leolat.topology import (
+    LinkCandidates,
+    NodeRef,
+    SnapshotGraph,
+    TopologyParams,
+    plane_link_class,
+)
 
 # Distance that makes one edge weigh exactly 1 ms at the vacuum speed of light.
 KM_PER_MS = 299.792458
@@ -75,6 +81,20 @@ def snapshot_from_edges(edges, nodes=(), c_vacuum: float = CONSTANTS.c_vacuum) -
         edge_dist_km=np.array(dist, dtype=float)[order],
         c_vacuum=c_vacuum,
     )
+
+
+def links_at(candidates: LinkCandidates, t: float):
+    """The links among the candidates at t, as (edge_i, edge_j, dist_km)
+    arrays, each link once with edge_i < edge_j in graph numbering: each
+    station's uplinks, station by station, then the laser links."""
+    dist, is_link = candidates.at(t)
+    return candidates.link_i[is_link], candidates.link_j[is_link], dist[is_link]
+
+
+def slot_links(constellation, stations, t: float, params: TopologyParams):
+    """Laser pairs within range and station-satellite links above the mask
+    at t, as the edge arrays of links_at over a one-slot LinkCandidates."""
+    return links_at(LinkCandidates(constellation, stations, t, 0.0, params), t)
 
 
 def parse_sat_id(sat_id: str) -> tuple[int, int]:

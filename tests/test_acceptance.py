@@ -18,6 +18,9 @@ calibrated 30 degree mask, which is the documented default for
 reproduction runs.
 """
 
+import csv
+import hashlib
+import io
 import random
 import time
 from collections import Counter
@@ -32,6 +35,7 @@ from conftest import (
     neighbor_census,
     node_refs,
     random_snapshot,
+    slot_links,
 )
 from leolat.constellation import ConstellationConfig, orbital_period_s
 from leolat.experiment import (
@@ -45,7 +49,7 @@ from leolat.experiment import (
 )
 from leolat.geo import great_circle_distance
 from leolat.routing import shortest_path
-from leolat.topology import TopologyParams, build_snapshot, slot_links
+from leolat.topology import TopologyParams, build_snapshot
 
 # Reference comparison values for the three city pairs (fiber baseline,
 # satellite-network hour average, improvement percent, surface distance).
@@ -184,6 +188,44 @@ def test_criterion_5_path_structure(hour_run_calibrated):
     assert share_4_to_6 >= 0.90
     assert in_band == len(routes)
     assert churn > 0
+
+
+# SHA-256 of each scenario's slot CSV over the whole hour, as `leolat run`
+# writes it; the calibrated ones are the default run's files.
+HOUR_DIGESTS = {
+    "calibrated": {
+        "New York-Dublin": "810f8b4d3da0c51b2e8fd586f98c9a2ec8531382b7e015af9cc3a936fa19d530",
+        "Sao Paulo-London": "c81ba62a12a57266e34acf2570e42e3d4a52a44db68cded264c4b6df26e3ca75",
+        "Toronto-Sydney": "b1b0e43d57ff4fa4d8b688deb2a6e05a4274f424cf4189b6f4461b90e9928e02",
+    },
+    "c3_mask_set": {
+        "New York-Dublin": "381650bfa88c6e06e824e9112c0f3ac950e0ef80991ea11c2fe5e9b4768dc87f",
+        "Sao Paulo-London": "3f71941b776249635f7afaac2a07a187ee75cb618fa64425dbfe451ae0f89736",
+        "Toronto-Sydney": "26aa4a669531929f1cb0116efe167774887a343e0a17de5acc9c9802e51ac831",
+    },
+}
+
+
+def slot_csv_digest(routes) -> str:
+    """SHA-256 of the routes rendered as a slot CSV: slot, latency in ms to
+    4 decimals and the |-joined node labels, empty where unreachable."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["slot", "latency_ms", "path"])
+    for k, route in enumerate(routes, start=1):
+        writer.writerow([k, "", ""] if route is None else
+                        [k, f"{route.total_latency_s * 1000.0:.4f}", "|".join(route.labels())])
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fixture", list(HOUR_DIGESTS))
+def test_whole_hour_routes_match_pinned_digests(request, fixture):
+    """Every route of both hour sweeps, byte for byte: a refactor that moves
+    one hop or one latency digit in any of the 10,800 slots fails here."""
+    run = request.getfixturevalue(f"hour_run_{fixture}")
+    assert {name: slot_csv_digest(routes) for name, (_, routes, _) in run.items()} \
+        == HOUR_DIGESTS[fixture]
 
 
 def test_criterion_6_dijkstra_matches_enumeration_oracle():

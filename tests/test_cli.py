@@ -562,6 +562,39 @@ class TestConfigLoading:
         assert "label" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "distances"])
+    @pytest.mark.parametrize("label,why", [("New|York", "'|'"), ("x11705", "satellite ID"),
+                                           ("x10101", "satellite ID")],
+                             ids=["pipe", "sat-id", "first-sat-id"])
+    def test_labels_that_make_paths_ambiguous_rejected(self, tmp_path, capsys, command,
+                                                        label, why):
+        # "New|York" would write the path New|York|x11705|... and exit 0.
+        p = tmp_path / "bad.yaml"
+        p.write_text(
+            "duration_s: 2\nscenarios:\n"
+            "  - name: NY-Dublin\n"
+            f"    src: {{latitude_deg: 40.7, longitude_deg: -74.0, label: '{label}'}}\n"
+            "    dst: {latitude_deg: 53.3, longitude_deg: -6.3, label: Dublin}\n"
+        )
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "'NY-Dublin'" in err and repr(label) in err and why in err
+        assert not (tmp_path / "out").exists()
+
+    def test_satellite_ids_are_those_of_the_configured_shell(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        text = ("constellation: {num_planes: 2, sats_per_plane: 3}\nscenarios:\n"
+                "  - name: A-B\n"
+                "    src: {latitude_deg: 10.0, longitude_deg: 20.0, label: LABEL}\n"
+                "    dst: {latitude_deg: 20.0, longitude_deg: 30.0, label: b}\n")
+        for label in ("x10104", "x10301", "x1"):
+            p.write_text(text.replace("LABEL", label))
+            assert load_config(p).scenarios[0].src.label == label
+        p.write_text(text.replace("LABEL", "x10203"))
+        with pytest.raises(CliError, match="'x10203' is a satellite ID"):
+            load_config(p)
+
     @pytest.mark.parametrize("name", ["~", "12", "true"])
     @pytest.mark.parametrize("command", ["run", "distances"])
     def test_non_string_scenario_names_rejected(self, tmp_path, capsys, command, name):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from conftest import (
 )
 import leolat
 from leolat.experiment import builtin_scenarios, chord_bound_ms
-from leolat.routing import shortest_path
+from leolat.routing import csr_layout, shortest_path
 from leolat.topology import NodeRef, TopologyParams, build_snapshot
 
 
@@ -150,6 +151,44 @@ def test_kernel_matches_heap_reference_on_tie_heavy_graphs(case):
     else:
         assert route is not None
         assert (route.labels(), route.total_latency_s) == reference
+
+
+
+def naive_csr_layout(n_nodes, edge_i, edge_j, one_way):
+    """csr_layout by list sorting: arcs i -> j of every edge, then j -> i of
+    the edges from one_way on, sorted stably by tail."""
+    arcs = [(i, j, k) for k, (i, j) in enumerate(zip(edge_i, edge_j))]
+    arcs += [(j, i, k) for k, (i, j) in enumerate(zip(edge_i, edge_j)) if k >= one_way]
+    arcs.sort(key=lambda arc: arc[0])
+    counts = [0] * (n_nodes + 1)
+    for tail, _, _ in arcs:
+        counts[tail + 1] += 1
+    return [[k for _, _, k in arcs], np.cumsum(counts).tolist(), [head for _, head, _ in arcs]]
+
+
+class TestCsrLayout:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_naive_build(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([2, 5, 12, 300])
+        m = rng.randint(0, 40)
+        edge_i, edge_j = [], []
+        for _ in range(m):
+            i, j = sorted(rng.sample(range(n), 2))
+            edge_i.append(i)
+            edge_j.append(j)
+        for one_way in sorted({0, m, rng.randint(0, m)}):
+            got = csr_layout(n, np.array(edge_i, np.int32), np.array(edge_j, np.int32), one_way)
+            assert [a.dtype for a in got] == [np.int32] * 3
+            assert [a.tolist() for a in got] \
+                == naive_csr_layout(n, edge_i, edge_j, one_way), one_way
+
+    @pytest.mark.parametrize("one_way", [0, None])
+    def test_empty_edge_list(self, one_way):
+        none = np.zeros(0, np.int32)
+        edge_of, indptr, indices = csr_layout(4, none, none, *([] if one_way is None else [0]))
+        assert edge_of.tolist() == indices.tolist() == []
+        assert indptr.tolist() == [0] * 5
 
 
 class TestOracle:

@@ -9,8 +9,10 @@ from conftest import (
     adjacency,
     brute_force_edge_set,
     edge_set,
+    links_at,
     neighbor_census,
     parse_sat_id,
+    slot_links,
     snapshot_from_edges,
 )
 from leolat.constellation import (
@@ -32,7 +34,6 @@ from leolat.topology import (
     pair_lengths,
     plane_link_class,
     route_budget_km,
-    slot_links,
 )
 
 STATIONS = [GeodeticPoint(40.7, -74.0, "NY"), GeodeticPoint(53.3, -6.3, "Dub")]
@@ -136,7 +137,7 @@ class TestSnapshot:
     @pytest.mark.parametrize("occlusion_check", [True, False], ids=["occlusion", "no-occlusion"])
     def test_all_pairs_scan_above_the_tangent_chord(self, small_constellation, occlusion_check):
         # A chord of the shell clears the Earth iff it is shorter than the
-        # tangent chord; slot_links tests only pairs within 1e-9 of it
+        # tangent chord; LinkCandidates.at tests only pairs within 1e-9 of it
         # exactly. Check ranges on both sides of it against the all-pairs
         # oracle, at epochs spread over one orbit plus every whole second
         # at which some pair lies within 0.1% of the tangent chord.
@@ -291,7 +292,7 @@ class TestLinkCandidates:
         for candidates, block in candidate_blocks(shell, STATIONS, times, params):
             assert len(block) == k_slots or block[-1] == times[-1]
             for t in block:
-                assert link_arrays(candidates.links_at(t), len(STATIONS), len(shell)) \
+                assert link_arrays(links_at(candidates, t), len(STATIONS), len(shell)) \
                     == link_arrays(slot_links(shell, STATIONS, t, params), len(STATIONS),
                                    len(shell)), t
             seen += block
@@ -305,7 +306,7 @@ class TestLinkCandidates:
             for candidates, block in candidate_blocks(small_constellation, STATIONS, times,
                                                       params):
                 for t in block:
-                    assert link_labels(candidates.links_at(t), small_constellation, STATIONS) \
+                    assert link_labels(links_at(candidates, t), small_constellation, STATIONS) \
                         == brute_force_edge_set(small_constellation, STATIONS, t, params), (t, r)
 
     @pytest.mark.parametrize("stations", [STATIONS, [GeodeticPoint(51.5, -0.1, "London"),
@@ -346,10 +347,11 @@ class TestLinkCandidates:
         whole = LinkCandidates(default_constellation, STATIONS, 50.0, 9.0, params,
                                [(0, 1, 1e6)])
         assert not full.pruned and not whole.pruned and whole.kept.all()
-        for name in ("pair_i", "pair_j", "cone_sats", "cone_ptr"):
+        for name in ("link_i", "link_j", "cone_ptr"):
             a, b = getattr(full, name), getattr(whole, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
             assert a.flags.c_contiguous and b.flags.c_contiguous, name
+        assert full.link_i.dtype == np.int32 and full.link_j.dtype == np.int32
 
     def test_pruned_set_keeps_global_ascending_numbering(self, default_constellation):
         params = TopologyParams(min_elevation_deg=30.0)
@@ -358,16 +360,23 @@ class TestLinkCandidates:
         cut = LinkCandidates(default_constellation, STATIONS, 50.0, 9.0, params,
                              [(0, 1, budget_km)])
         assert cut.pruned and 0 < cut.kept.sum() < len(default_constellation)
-        kept = cut.kept
+        n_st = len(STATIONS)
+        kept = np.concatenate([np.ones(n_st, bool), cut.kept])
         # The candidates among the kept satellites, with their global numbers.
-        both = kept[full.pair_i] & kept[full.pair_j]
-        assert {*zip(cut.pair_i.tolist(), cut.pair_j.tolist())} \
-            == {*zip(full.pair_i[both].tolist(), full.pair_j[both].tolist())}
-        assert (cut.pair_i < cut.pair_j).all()
-        for s in range(len(STATIONS)):
-            cone = full.cone_sats[full.cone_ptr[s]:full.cone_ptr[s + 1]]
-            assert cut.cone_sats[cut.cone_ptr[s]:cut.cone_ptr[s + 1]].tolist() \
+        assert (cut.link_i < cut.link_j).all()
+        for c in (full, cut):
+            assert c.link_i[:c.cone_ptr[-1]].tolist() \
+                == np.repeat(np.arange(n_st), np.diff(c.cone_ptr)).tolist()
+        for s in range(n_st):
+            cone = full.link_j[full.cone_ptr[s]:full.cone_ptr[s + 1]]
+            assert cut.link_j[cut.cone_ptr[s]:cut.cone_ptr[s + 1]].tolist() \
                 == cone[kept[cone]].tolist()
+        laser_full = slice(full.cone_ptr[-1], None)
+        both = kept[full.link_i[laser_full]] & kept[full.link_j[laser_full]]
+        laser_cut = slice(cut.cone_ptr[-1], None)
+        assert {*zip(cut.link_i[laser_cut].tolist(), cut.link_j[laser_cut].tolist())} \
+            == {*zip(full.link_i[laser_full][both].tolist(),
+                     full.link_j[laser_full][both].tolist())}
 
     def test_measuring_outside_the_block_is_refused(self, small_constellation):
         candidates = LinkCandidates(small_constellation, STATIONS, 10.0, 5.0, TopologyParams())
@@ -401,7 +410,7 @@ class TestOneInRangePredicate:
                 params = TopologyParams(lisl_range_km=float(reach))
                 expected = keys[lengths <= reach]
                 for candidates in self.blocks(default_constellation, [], params):
-                    edge_i, edge_j, _ = candidates.links_at(self.T)
+                    edge_i, edge_j, _ = links_at(candidates, self.T)
                     got = np.sort(edge_i.astype(np.int64) * n + edge_j)
                     assert np.array_equal(got, expected)
 
@@ -417,7 +426,7 @@ class TestOneInRangePredicate:
                     params = TopologyParams(min_elevation_deg=float(mask))
                     expected = np.flatnonzero(elev >= mask)
                     for candidates in self.blocks(default_constellation, [station], params):
-                        edge_i, edge_j, dist = candidates.links_at(self.T)
+                        edge_i, edge_j, dist = links_at(candidates, self.T)
                         # The uplinks come first, then the laser links.
                         up = np.flatnonzero(edge_i == 0)
                         assert up.tolist() == list(range(len(expected)))
