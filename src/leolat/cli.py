@@ -31,6 +31,7 @@ from .experiment import (
     Scenario,
     _SlotEngine,
     builtin_scenarios,
+    check_station_labels,
     compare,
     oftn_latency,
     run_scenarios,
@@ -40,6 +41,7 @@ from .experiment import (
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import logging
@@ -49,6 +51,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 log = logging.getLogger("leolat")
@@ -58,9 +61,10 @@ class CliError(Exception):
     """User-facing failure; message printed to stderr, nonzero exit."""
 
 
-def round4(x: float) -> float:
-    """Latency serialization precision: fixed 4 decimals, as a float."""
-    return float(f"{x:.4f}")
+def round4(x: float | None) -> float | None:
+    """Latency serialization precision: fixed 4 decimals, as a float;
+    None (no latency) stays None."""
+    return None if x is None else float(f"{x:.4f}")
 
 
 def slugify(name: str) -> str:
@@ -70,10 +74,13 @@ def slugify(name: str) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    constellation: ConstellationConfig
-    topology: TopologyParams
+    """A run; the defaults are the reproduction setup, with calibrated
+    phasing and elevation mask."""
+
+    constellation: ConstellationConfig = ConstellationConfig(phase_factor=REPRODUCTION_PHASE_FACTOR)
+    topology: TopologyParams = TopologyParams(min_elevation_deg=REPRODUCTION_MIN_ELEVATION_DEG)
     constants: PhysicalConstants = CONSTANTS
-    scenarios: tuple[Scenario, ...] = ()
+    scenarios: tuple[Scenario, ...] = tuple(builtin_scenarios())
     duration_s: float = 3600
     slot_s: float = 1
     out_dir: str = "out"
@@ -89,6 +96,7 @@ class RunConfig:
             raise ValueError(f"scenario names need a letter or digit to name files: {unnamed}")
         if len(set(stems)) != len(stems):
             raise ValueError("scenario names collide after slugification; rename them")
+        check_station_labels(self.scenarios)
         # The path column joins node labels with "|": a station label must
         # neither contain it nor read as a satellite of the shell.
         sat_index = Constellation(self.constellation).sat_index
@@ -111,107 +119,65 @@ class RunConfig:
         return slot_count(self.duration_s, self.slot_s)
 
 
-def default_run_config() -> RunConfig:
-    """The reproduction setup: calibrated phasing and elevation mask."""
-    return RunConfig(
-        constellation=ConstellationConfig(phase_factor=REPRODUCTION_PHASE_FACTOR),
-        topology=TopologyParams(min_elevation_deg=REPRODUCTION_MIN_ELEVATION_DEG),
-        scenarios=tuple(builtin_scenarios()),
-    )
-
-
 # -- config file ---------------------------------------------------------------
 
 
-def _from_mapping(cls, mapping: dict, what: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(mapping) - fields
+def _from_mapping(cls, what: str, mapping, **readers):
+    """cls(**mapping), each value with a reader read by it first; null reads
+    as {}. Malformed input raises CliError naming what."""
+    mapping = {} if mapping is None else mapping
+    if not isinstance(mapping, dict):
+        raise CliError(f"{what} must be a mapping, got {mapping!r}")
+    unknown = set(mapping) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise CliError(f"unknown {what} keys: {sorted(unknown, key=str)}")
     try:
-        return cls(**mapping)
+        return cls(**{k: readers[k](v) if k in readers else v for k, v in mapping.items()})
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid {what}: {exc}") from exc
 
 
-def _parse_point(mapping: dict, what: str) -> GeodeticPoint:
-    if not isinstance(mapping, dict):
-        raise CliError(f"{what} must be a mapping with latitude_deg/longitude_deg/label")
-    return _from_mapping(GeodeticPoint, mapping, what)
+def _scenarios(entries) -> tuple[Scenario, ...]:
+    if not isinstance(entries, list) or not entries:
+        raise CliError(f"scenarios must be a non-empty list, got {entries!r}")
+    return tuple(
+        _from_mapping(Scenario, f"scenario #{i}", sc,
+                      src=functools.partial(_from_mapping, GeodeticPoint, f"scenario #{i} src"),
+                      dst=functools.partial(_from_mapping, GeodeticPoint, f"scenario #{i} dst"))
+        for i, sc in enumerate(entries, start=1))
 
 
-def load_config(path: str | Path | None) -> RunConfig:
-    """RunConfig from a YAML file; absent sections keep reproduction defaults."""
-    if path is None:
-        return default_run_config()
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = yaml.safe_load(raw) or {}
-    except yaml.YAMLError as exc:
-        raise CliError(f"config {path} is not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError(f"config {path} must be a mapping")
-
-    unknown = set(doc) - {f.name for f in dataclasses.fields(RunConfig)}
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown, key=str)}")
-
+def load_config(path: str | Path | None, out_dir: str | None = None,
+                duration_s: float | None = None, phase_factor: int | None = None) -> RunConfig:
+    """RunConfig from a YAML file (None: no file) and the CLI options: an
+    option that is not None replaces the file's value for its key. Absent
+    keys and sections keep RunConfig's defaults."""
+    doc = None
+    if path is not None:
+        try:
+            raw = Path(path).read_text()
+        except OSError as exc:
+            raise CliError(f"cannot read config {path}: {exc}") from exc
+        try:
+            doc = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise CliError(f"config {path} is not valid YAML: {exc}") from exc
+    if isinstance(doc, dict | None):  # _from_mapping rejects anything else
+        options = {"out_dir": out_dir, "duration_s": duration_s}
+        doc = (doc or {}) | {key: value for key, value in options.items() if value is not None}
+        shell = doc.get("constellation")
+        if phase_factor is not None and isinstance(shell, dict | None):
+            doc["constellation"] = (shell or {}) | {"phase_factor": phase_factor}
     # A present section fills its omitted keys from the plain type defaults;
     # the calibrated reproduction values apply only to omitted sections, so
     # a custom shell never inherits a phasing calibrated for a different one.
-    fields = {}
-    for key, cls in (("constellation", ConstellationConfig), ("topology", TopologyParams),
-                     ("constants", PhysicalConstants)):
-        if key not in doc:
-            continue
-        section = {} if doc[key] is None else doc[key]
-        if not isinstance(section, dict):
-            raise CliError(f"config section {key} must be a mapping, got {section!r}")
-        fields[key] = _from_mapping(cls, section, key)
-    if "scenarios" in doc:
-        entries = doc["scenarios"]
-        if not isinstance(entries, list) or not entries:
-            raise CliError(f"scenarios must be a non-empty list, got {entries!r}")
-        parsed = []
-        for i, sc in enumerate(entries):
-            if not isinstance(sc, dict) or set(sc) - {"name", "src", "dst"}:
-                raise CliError(f"scenario #{i + 1} must have keys name/src/dst")
-            try:
-                parsed.append(
-                    Scenario(
-                        name=sc["name"],
-                        src=_parse_point(sc["src"], f"scenario #{i + 1} src"),
-                        dst=_parse_point(sc["dst"], f"scenario #{i + 1} dst"),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise CliError(f"scenario #{i + 1} is invalid: {exc}") from exc
-        fields["scenarios"] = tuple(parsed)
-    # The other keys are RunConfig's own, which checks them itself.
-    fields = doc | fields
-    try:
-        if "formats" in fields:
-            formats = fields["formats"]
-            fields["formats"] = (formats,) if isinstance(formats, str) else tuple(formats)
-        return dataclasses.replace(default_run_config(), **fields)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid config: {exc}") from exc
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    if args.duration is not None:
-        cfg = dataclasses.replace(cfg, duration_s=args.duration)
-    if args.phase_factor is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            constellation=dataclasses.replace(cfg.constellation, phase_factor=args.phase_factor),
-        )
-    return cfg
+    return _from_mapping(
+        RunConfig, "config", doc,
+        constellation=functools.partial(_from_mapping, ConstellationConfig, "constellation"),
+        topology=functools.partial(_from_mapping, TopologyParams, "topology"),
+        constants=functools.partial(_from_mapping, PhysicalConstants, "constants"),
+        scenarios=_scenarios,
+        formats=lambda formats: (formats,) if isinstance(formats, str) else tuple(formats))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -219,31 +185,23 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _summary_record(summary) -> dict:
     """JSON form of a summary; improvement fields recomputed from the
-    rounded values they are stored next to, so the file round-trips."""
+    rounded values they are stored next to, so the file round-trips. A
+    scenario with no reachable slot has null latencies and improvement."""
     oftn_ms = round4(summary.oftn_latency_ms)
-    rec = {
+    owsn_ms = round4(summary.owsn_avg_latency_ms)
+    improvement_ms, improvement_pct = (None, None) if owsn_ms is None else compare(owsn_ms, oftn_ms)
+    return {
         "name": summary.name,
         "oftn_distance_km": float(f"{summary.oftn_distance_km:.2f}"),
         "oftn_latency_ms": oftn_ms,
         "slots": summary.slots,
         "unreachable_slots": summary.unreachable_slots,
+        "owsn_avg_latency_ms": owsn_ms,
+        "owsn_min_ms": round4(summary.owsn_min_ms),
+        "owsn_max_ms": round4(summary.owsn_max_ms),
+        "improvement_ms": improvement_ms,
+        "improvement_pct": improvement_pct,
     }
-    if summary.owsn_avg_latency_ms is None:
-        rec.update(
-            owsn_avg_latency_ms=None, owsn_min_ms=None, owsn_max_ms=None,
-            improvement_ms=None, improvement_pct=None,
-        )
-    else:
-        owsn_ms = round4(summary.owsn_avg_latency_ms)
-        improvement_ms, improvement_pct = compare(owsn_ms, oftn_ms)
-        rec.update(
-            owsn_avg_latency_ms=owsn_ms,
-            owsn_min_ms=round4(summary.owsn_min_ms),
-            owsn_max_ms=round4(summary.owsn_max_ms),
-            improvement_ms=improvement_ms,
-            improvement_pct=improvement_pct,
-        )
-    return rec
 
 
 def _config_record(cfg: RunConfig) -> dict:
@@ -336,19 +294,21 @@ def cmd_distances(cfg: RunConfig) -> int:
 def cmd_sweep_range(cfg: RunConfig, ranges: list[float], workers: int) -> int:
     if not ranges:
         raise CliError("at least one LISL range is required")
-    # Every range is checked before any is routed.
+    # Every range is checked before any is routed. Each is written as the
+    # shortest text that reads back as it, so distinct ranges never share a label.
     variants = [dataclasses.replace(cfg.topology, lisl_range_km=r) for r in ranges]
+    km = functools.partial(np.format_float_positional, trim="-")
     if len(set(ranges)) < len(ranges):
-        raise CliError(f"--ranges repeats {next(r for r in ranges if ranges.count(r) > 1):g} km")
+        repeated = next(r for r in ranges if ranges.count(r) > 1)
+        raise CliError(f"--ranges repeats {km(repeated)} km")
     rows = []
     for params in variants:
         runs = _route(cfg, params, workers)
         for scenario, (_, summary) in zip(cfg.scenarios, runs):
             avg = "" if summary.owsn_avg_latency_ms is None else f"{summary.owsn_avg_latency_ms:.4f}"
-            rows.append([scenario.name, f"{params.lisl_range_km:g}", avg,
-                         summary.unreachable_slots])
-            log.info("range %g km, %s: avg %s ms, %d unreachable",
-                     params.lisl_range_km, scenario.name, avg or "n/a", summary.unreachable_slots)
+            rows.append([scenario.name, km(params.lisl_range_km), avg, summary.unreachable_slots])
+            log.info("range %s km, %s: avg %s ms, %d unreachable", km(params.lisl_range_km),
+                     scenario.name, avg or "n/a", summary.unreachable_slots)
     (path,) = _write_artifacts(Path(cfg.out_dir), {"sweep_range.csv": _csv_text(
         ["scenario", "lisl_range_km", "avg_latency_ms", "unreachable_slots"], rows)})
     print(path)
@@ -372,29 +332,24 @@ def cmd_export_geojson(cfg: RunConfig, scenario_name: str, slot: int) -> int:
 
     constellation = engine.constellation
     positions = constellation.positions_at(t)
-    points_by_label = {
-        scenario.src.label: (scenario.src.latitude_deg, scenario.src.longitude_deg, 0.0),
-        scenario.dst.label: (scenario.dst.latitude_deg, scenario.dst.longitude_deg, 0.0),
-    }
+    stations = {p.label: p for p in (scenario.src, scenario.dst)}
     features = []
-    line_coords = []
     for node in route.nodes:
         if node.is_ground:
-            lat, lon, alt_km = points_by_label[node.label]
+            point = stations[node.label]
+            lat, lon, alt_km = point.latitude_deg, point.longitude_deg, 0.0
             props = {"kind": "ground", "label": node.label}
         else:
-            glat, glon, r = inertial_to_geodetic(
-                positions[constellation.sat_index[node.label]], t,
-                cfg.constants.earth_rotation_rate,
-            )
-            lat, lon, alt_km = glat, glon, r - cfg.constants.earth_radius_km
+            lat, lon, r = inertial_to_geodetic(positions[constellation.sat_index[node.label]], t,
+                                               cfg.constants.earth_rotation_rate)
+            alt_km = r - cfg.constants.earth_radius_km
             props = {"kind": "satellite", "label": node.label, "altitude_km": alt_km}
         coord = [lon, lat, alt_km * 1000.0]
-        line_coords.append(coord)
         features.append(
             {"type": "Feature", "geometry": {"type": "Point", "coordinates": coord},
              "properties": props}
         )
+    line_coords = [f["geometry"]["coordinates"] for f in features]
     features.append(
         {
             "type": "Feature",
@@ -462,7 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config, out_dir=args.out, duration_s=args.duration,
+                          phase_factor=args.phase_factor)
         if args.command == "run":
             return cmd_run(cfg, workers=args.workers)
         if args.command == "distances":

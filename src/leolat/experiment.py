@@ -140,6 +140,15 @@ def summarize(
     )
 
 
+def check_station_labels(scenarios: Sequence[Scenario]) -> None:
+    """Raise ValueError unless each station label names only one point:
+    route paths name stations by label."""
+    by_label: dict[str, GeodeticPoint] = {}
+    for point in (p for sc in scenarios for p in (sc.src, sc.dst)):
+        if by_label.setdefault(point.label, point) != point:
+            raise ValueError(f"station label {point.label!r} names two different points")
+
+
 def slot_count(duration_s: float, slot_s: float) -> int:
     """Number of slots in the horizon; slot_s must divide duration_s."""
     check_number("duration_s", duration_s)
@@ -280,10 +289,7 @@ def run_scenarios(
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    by_label: dict[str, GeodeticPoint] = {}
-    for point in (p for sc in scenarios for p in (sc.src, sc.dst)):
-        if by_label.setdefault(point.label, point) != point:
-            raise ValueError(f"station label {point.label!r} names two different points")
+    check_station_labels(scenarios)
     n_slots = slot_count(duration_s, slot_s)
     times = [(k - 1) * slot_s for k in range(1, n_slots + 1)]
     per_slot: list[list[Route | None]] = []

@@ -1,12 +1,15 @@
+import collections
 import csv
 import dataclasses
 import json
+import logging
 import math
 
 import pytest
 
 from leolat import cli, experiment
-from leolat.cli import CliError, load_config, main, round4, slugify
+from leolat.cli import CliError, RunConfig, load_config, main, round4, slugify
+from leolat.constellation import ConstellationConfig
 from leolat.experiment import builtin_scenarios
 
 NY_DUBLIN_CSV = "new_york_dublin_slots.csv"
@@ -222,6 +225,20 @@ class TestSweepRange:
         assert "--ranges" in err and "1000" in err and "1500" not in err
         assert not out.exists()
 
+    def test_close_ranges_get_distinct_labels(self, tmp_path, capsys, caplog):
+        # Either side of the 550 km shell's tangent chord; six significant
+        # digits would label all six rows 5410.47.
+        caplog.set_level(logging.INFO, logger="leolat")
+        out = tmp_path / "out"
+        assert main(["sweep-range", "--out", str(out), "--duration", "2",
+                     "--ranges", "5410.468,5410.474"]) == 0
+        assert [row[1] for row in read_rows(out / "sweep_range.csv")[1:]] == \
+            ["5410.468"] * 3 + ["5410.474"] * 3
+        assert "range 5410.474 km" in caplog.text
+        assert main(["sweep-range", "--out", str(out), "--duration", "2",
+                     "--ranges", "5410.474,5410.4740"]) == 1
+        assert "repeats 5410.474 km" in capsys.readouterr().err
+
     def test_unparseable_range_names_the_option(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["sweep-range", "--out", str(out), "--ranges", "1000,abc"]) == 1
@@ -384,6 +401,57 @@ class TestConfigLoading:
         assert cfg.constants.earth_radius_km == 6371.0
         assert cfg.duration_s == 10
 
+    def test_config_step_builds_one_run_config_and_one_shell(self, tmp_path, monkeypatch):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("constellation: {altitude_km: 600.0}\nduration_s: 10\n")
+        built = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(RunConfig, "__post_init__",
+                            counted("RunConfig", RunConfig.__post_init__))
+        monkeypatch.setattr(cli, "Constellation", counted("Constellation", cli.Constellation))
+        configs = []
+        monkeypatch.setattr(cli, "cmd_run", lambda cfg, workers: configs.append(cfg) or 0)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", str(p), "--out", out, "--duration", "4",
+                     "--phase-factor", "5"]) == 0
+        assert built == {"RunConfig": 1, "Constellation": 1}
+        (cfg,) = configs
+        assert (cfg.out_dir, cfg.duration_s) == (out, 4.0)
+        assert cfg.constellation == ConstellationConfig(altitude_km=600.0, phase_factor=5)
+
+    def test_options_beat_the_file(self, tmp_path):
+        # The file's own duration_s would be rejected: the option replaces
+        # it before the config is checked.
+        p = tmp_path / "cfg.yaml"
+        p.write_text("constellation: {phase_factor: 2}\nduration_s: 0\nout_dir: from-file\n")
+        cfg = load_config(p, out_dir="from-option", duration_s=4.0, phase_factor=5)
+        assert (cfg.out_dir, cfg.duration_s, cfg.constellation.phase_factor) == \
+            ("from-option", 4.0, 5)
+        with pytest.raises(CliError, match="duration_s"):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "yaml_text,shell",
+        [(None, dataclasses.replace(RunConfig().constellation, phase_factor=5)),
+         ("duration_s: 2\n", dataclasses.replace(RunConfig().constellation, phase_factor=5)),
+         ("constellation:\n", ConstellationConfig(phase_factor=5)),
+         ("constellation: {altitude_km: 600.0}\n",
+          ConstellationConfig(altitude_km=600.0, phase_factor=5))],
+        ids=["no-file", "no-section", "empty-section", "custom-shell"],
+    )
+    def test_phase_factor_option_sets_only_the_phasing(self, tmp_path, yaml_text, shell):
+        p = None
+        if yaml_text is not None:
+            p = tmp_path / "cfg.yaml"
+            p.write_text(yaml_text)
+        assert load_config(p, phase_factor=5).constellation == shell
+
     def test_missing_file_fails_cleanly(self, capsys):
         assert main(["run", "--config", "/no/such/file.yaml"]) == 1
         assert "cannot read config" in capsys.readouterr().err
@@ -410,10 +478,11 @@ class TestConfigLoading:
     @pytest.mark.parametrize(
         "yaml_text,where",
         [
-            ("constellation: 5\n", "section constellation"),
-            ("topology: [1]\n", "section topology"),
-            ("constants: x\n", "section constants"),
+            ("constellation: 5\n", "constellation must be a mapping"),
+            ("topology: [1]\n", "topology must be a mapping"),
+            ("constants: x\n", "constants must be a mapping"),
             ("scenarios: 5\n", "scenarios must be a non-empty list"),
+            ("[]\n", "config must be a mapping"),
             ("constellation: {phase_factor: 1.5}\n", "phase_factor must be an integer"),
             ("constellation: {num_planes: true}\n", "num_planes must be an integer"),
             ("constellation: {1: 2, a: 3}\n", "unknown constellation keys"),
@@ -429,7 +498,7 @@ class TestConfigLoading:
             ("topology: {min_elevation_deg: '30'}\n", "min_elevation_deg must be a number"),
         ],
         ids=["scalar-constellation", "list-topology", "string-constants", "scalar-scenarios",
-             "float-phasing", "bool-planes", "mixed-type-keys", "string-occlusion",
+             "list-config", "float-phasing", "bool-planes", "mixed-type-keys", "string-occlusion",
              "int-occlusion", "bool-duration", "string-duration", "bool-slot", "string-slot",
              "bool-range", "string-range", "bool-mask", "string-mask"],
     )
@@ -581,6 +650,27 @@ class TestConfigLoading:
         assert out == ""
         assert "'NY-Dublin'" in err and repr(label) in err and why in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["distances"],
+                                         ["sweep-range", "--ranges", "1500"],
+                                         ["export-geojson", "--scenario", "A", "--slot", "1"]],
+                             ids=lambda command: command[0])
+    def test_label_naming_two_points_rejected_by_every_command(self, tmp_path, capsys, command):
+        p = tmp_path / "bad.yaml"
+        p.write_text(
+            "duration_s: 2\nscenarios:\n"
+            "  - name: A\n"
+            "    src: {latitude_deg: 40.7, longitude_deg: -74.0, label: NY}\n"
+            "    dst: {latitude_deg: 53.3, longitude_deg: -6.3, label: Dublin}\n"
+            "  - name: B\n"
+            "    src: {latitude_deg: 41.7, longitude_deg: -74.0, label: NY}\n"
+            "    dst: {latitude_deg: 51.5, longitude_deg: -0.1, label: London}\n"
+        )
+        assert main(command + ["--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "station label 'NY' names two different points" in err
+        assert [x.name for x in tmp_path.iterdir()] == ["bad.yaml"]
 
     def test_satellite_ids_are_those_of_the_configured_shell(self, tmp_path):
         p = tmp_path / "cfg.yaml"
