@@ -23,7 +23,7 @@ from .geo import (
     great_circle_distance,
     inertial_to_geodetic,
 )
-from .constellation import Constellation, ConstellationConfig
+from .constellation import ConstellationConfig
 from .topology import TopologyParams
 from .experiment import (
     REPRODUCTION_MIN_ELEVATION_DEG,
@@ -99,10 +99,10 @@ class RunConfig:
         check_station_labels(self.scenarios)
         # The path column joins node labels with "|": a station label must
         # neither contain it nor read as a satellite of the shell.
-        sat_index = Constellation(self.constellation).sat_index
+        sat_ids = set(self.constellation.sat_ids)
         for s in self.scenarios:
             for label in (s.src.label, s.dst.label):
-                if "|" in label or label in sat_index:
+                if "|" in label or label in sat_ids:
                     raise ValueError(f"scenario {s.name!r}: station label {label!r} " + (
                         "contains '|', the path separator" if "|" in label
                         else "is a satellite ID of the shell"))
@@ -137,6 +137,25 @@ def _from_mapping(cls, what: str, mapping, **readers):
         raise CliError(f"invalid {what}: {exc}") from exc
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key repeated within one mapping, where
+    PyYAML would keep the last value silently."""
+
+    def construct_unique_map(self, node):
+        seen = set()
+        for k, _ in node.value:
+            # Merge keys may repeat; the base class rejects unhashable keys.
+            if isinstance(k, yaml.ScalarNode) and k.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(k)
+                if key in seen:
+                    raise CliError(f"config key {key!r} repeated on line {k.start_mark.line + 1}")
+                seen.add(key)
+        return self.construct_yaml_map(node)
+
+
+_UniqueKeyLoader.add_constructor("tag:yaml.org,2002:map", _UniqueKeyLoader.construct_unique_map)
+
+
 def _scenarios(entries) -> tuple[Scenario, ...]:
     if not isinstance(entries, list) or not entries:
         raise CliError(f"scenarios must be a non-empty list, got {entries!r}")
@@ -156,10 +175,10 @@ def load_config(path: str | Path | None, out_dir: str | None = None,
     if path is not None:
         try:
             raw = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read config {path}: {exc}") from exc
         try:
-            doc = yaml.safe_load(raw)
+            doc = yaml.load(raw, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise CliError(f"config {path} is not valid YAML: {exc}") from exc
     if isinstance(doc, dict | None):  # _from_mapping rejects anything else
@@ -330,8 +349,7 @@ def cmd_export_geojson(cfg: RunConfig, scenario_name: str, slot: int) -> int:
     if route is None:
         raise CliError(f"scenario {scenario.name!r} has no route at slot {slot}")
 
-    constellation = engine.constellation
-    positions = constellation.positions_at(t)
+    positions = dict(zip(engine.constellation.sat_ids, engine.constellation.positions_at(t)))
     stations = {p.label: p for p in (scenario.src, scenario.dst)}
     features = []
     for node in route.nodes:
@@ -340,7 +358,7 @@ def cmd_export_geojson(cfg: RunConfig, scenario_name: str, slot: int) -> int:
             lat, lon, alt_km = point.latitude_deg, point.longitude_deg, 0.0
             props = {"kind": "ground", "label": node.label}
         else:
-            lat, lon, r = inertial_to_geodetic(positions[constellation.sat_index[node.label]], t,
+            lat, lon, r = inertial_to_geodetic(positions[node.label], t,
                                                cfg.constants.earth_rotation_rate)
             alt_km = r - cfg.constants.earth_radius_km
             props = {"kind": "satellite", "label": node.label, "altitude_km": alt_km}

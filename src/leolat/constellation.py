@@ -10,6 +10,7 @@ over the hour-scale horizons this package targets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,29 +61,18 @@ class ConstellationConfig:
         """Anomaly shift between satellites in adjacent planes."""
         return self.phase_factor * 360.0 / (self.num_planes * self.sats_per_plane)
 
+    @functools.cached_property
+    def sat_ids(self) -> tuple[str, ...]:
+        """The satellites' IDs, plane-major then slot order; built once per config."""
+        return tuple(format_sat_id(p, s) for p in range(1, self.num_planes + 1)
+                     for s in range(1, self.sats_per_plane + 1))
+
 
 def format_sat_id(plane: int, slot: int) -> str:
     """Canonical ID "x1" + two-digit plane + two-digit slot, e.g. x10101."""
     if not 1 <= plane <= 99 or not 1 <= slot <= 99:
         raise ValueError(f"plane/slot ({plane}, {slot}) outside the two-digit ID scheme")
     return f"x1{plane:02d}{slot:02d}"
-
-
-def orbit_radius_km(cfg: ConstellationConfig, constants: PhysicalConstants = CONSTANTS) -> float:
-    return constants.earth_radius_km + cfg.altitude_km
-
-
-def mean_motion_rad_s(cfg: ConstellationConfig, constants: PhysicalConstants = CONSTANTS) -> float:
-    a = orbit_radius_km(cfg, constants)
-    return math.sqrt(constants.mu_earth / a**3)
-
-
-def orbital_speed_km_s(cfg: ConstellationConfig, constants: PhysicalConstants = CONSTANTS) -> float:
-    return orbit_radius_km(cfg, constants) * mean_motion_rad_s(cfg, constants)
-
-
-def orbital_period_s(cfg: ConstellationConfig, constants: PhysicalConstants = CONSTANTS) -> float:
-    return 2.0 * math.pi / mean_motion_rad_s(cfg, constants)
 
 
 def _propagate(
@@ -105,7 +95,8 @@ def _propagate(
 
 
 class Constellation:
-    """A built shell plus cached angle arrays for vectorized propagation."""
+    """A built shell: its satellite IDs, its orbit's radius_km, mean_motion_rad_s
+    and speed_km_s, and cached angle arrays for vectorized propagation."""
 
     def __init__(self, cfg: ConstellationConfig, constants: PhysicalConstants = CONSTANTS):
         self.cfg = cfg
@@ -118,11 +109,10 @@ class Constellation:
         # Plane-major then slot order, as the satellite IDs.
         self._raan = np.repeat(np.radians(raan_deg), cfg.sats_per_plane)
         self._anom0 = np.radians(anom_deg).ravel()
-        self.sat_ids = tuple(format_sat_id(p, s) for p in range(1, cfg.num_planes + 1)
-                             for s in range(1, cfg.sats_per_plane + 1))
-        self.sat_index = {sid: k for k, sid in enumerate(self.sat_ids)}
-        self._a = orbit_radius_km(cfg, constants)
-        self._n = mean_motion_rad_s(cfg, constants)
+        self.sat_ids = cfg.sat_ids
+        self.radius_km = constants.earth_radius_km + cfg.altitude_km
+        self.mean_motion_rad_s = math.sqrt(constants.mu_earth / self.radius_km**3)
+        self.speed_km_s = self.radius_km * self.mean_motion_rad_s
         self._inc = math.radians(cfg.inclination_deg)
 
     def __len__(self) -> int:
@@ -132,4 +122,5 @@ class Constellation:
         """(N, 3) ECI positions of every satellite at t seconds past epoch."""
         if t < 0:
             raise ValueError("t must be >= 0")
-        return _propagate(self._raan, self._anom0, t - self.cfg.epoch, self._a, self._n, self._inc)
+        return _propagate(self._raan, self._anom0, t - self.cfg.epoch, self.radius_km,
+                          self.mean_motion_rad_s, self._inc)

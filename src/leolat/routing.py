@@ -22,15 +22,14 @@ from .topology import NodeRef, SnapshotGraph
 
 @dataclass(frozen=True)
 class Route:
-    """An executed path: node sequence plus per-hop and total latency."""
+    """An executed path: node sequence plus total latency."""
 
     nodes: tuple[NodeRef, ...]
-    hop_latencies_s: tuple[float, ...]
     total_latency_s: float
 
     @property
     def hop_count(self) -> int:
-        return len(self.hop_latencies_s)
+        return len(self.nodes) - 1
 
     @property
     def satellite_count(self) -> int:
@@ -131,11 +130,7 @@ def trace_route(
         hops.append(hop)
         u = v
         du = dist[u]
-    return Route(
-        nodes=tuple(node_ref(idx) for idx in path),
-        hop_latencies_s=tuple(hops),
-        total_latency_s=math.fsum(hops),
-    )
+    return Route(nodes=tuple(node_ref(idx) for idx in path), total_latency_s=math.fsum(hops))
 
 
 def shortest_path(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> Route | None:

@@ -34,12 +34,9 @@ latency at the vacuum speed of light. It is the reference graph that the
 benchmark's output check and the tests route on with
 routing.shortest_path.
 
-Every graph numbers its stations first and its satellites after them in
-ID order, and routing breaks ties towards the smaller node number. Only
-build_snapshot sorts its stations by label; the slot engine numbers them
-in order of first appearance in the scenarios. Its stations never relay,
-and every station sorts before every satellite, so there station order
-cannot decide a tie.
+Every graph numbers its stations first, in the order given, and its
+satellites after them in ID order; routing breaks ties towards the smaller
+node number.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .constellation import Constellation, orbit_radius_km, orbital_speed_km_s
+from .constellation import Constellation
 from .geo import (
     CONSTANTS,
     GeodeticPoint,
@@ -126,7 +123,6 @@ class SnapshotGraph:
     """
 
     slot_index: int
-    time_s: float
     ground_labels: tuple[str, ...]
     sat_ids: tuple[str, ...]
     edge_i: np.ndarray
@@ -179,17 +175,16 @@ def mask_slant_km(constellation: Constellation, min_elevation_deg: float) -> flo
     """Slant range from a station to a satellite of the shell seen at the
     elevation angle, km: the longest link a station makes at that mask."""
     earth_r = constellation.constants.earth_radius_km
-    shell_r = orbit_radius_km(constellation.cfg, constellation.constants)
     el = math.radians(min_elevation_deg)
-    return math.sqrt(shell_r**2 - (earth_r * math.cos(el)) ** 2) - earth_r * math.sin(el)
+    return (math.sqrt(constellation.radius_km**2 - (earth_r * math.cos(el)) ** 2)
+            - earth_r * math.sin(el))
 
 
 def route_budget_km(constellation: Constellation, src: GeodeticPoint, dst: GeodeticPoint,
                     params: TopologyParams) -> float:
     """Path length, km, of the shell arc above the great circle from src to
     dst plus an uplink and a downlink at the mask's slant range."""
-    shell_r = orbit_radius_km(constellation.cfg, constellation.constants)
-    return (great_circle_distance(src, dst, shell_r)
+    return (great_circle_distance(src, dst, constellation.radius_km)
             + 2.0 * mask_slant_km(constellation, params.min_elevation_deg))
 
 
@@ -239,8 +234,6 @@ class LinkCandidates:
         self.span_s = span_s
         constants = constellation.constants
         earth_r = constants.earth_radius_km
-        shell_r = orbit_radius_km(constellation.cfg, constants)
-        speed = orbital_speed_km_s(constellation.cfg, constants)
 
         # Every satellite lies on one shell of radius r, and a chord of that
         # shell clears the Earth exactly when it is shorter than the tangent
@@ -250,7 +243,7 @@ class LinkCandidates:
         # pairs within that margin of it get the exact segment test. A length
         # is off by ~1e-12 km against a ~5e-6 km margin, so no pair outside
         # the band can fall on the wrong side.
-        self.tangent = 2.0 * math.sqrt(max(0.0, shell_r**2 - earth_r**2))
+        self.tangent = 2.0 * math.sqrt(max(0.0, constellation.radius_km**2 - earth_r**2))
         self.occlude = params.occlusion_check and params.lisl_range_km > self.tangent
         self.reach = params.lisl_range_km
         if self.occlude:
@@ -259,14 +252,14 @@ class LinkCandidates:
         self._xyz0 = constellation.positions_at(t0)
         ranges = [np.linalg.norm(self._xyz0 - _station_xyz(st, t0, constants), axis=1)
                   for st in self.stations]
-        drift = (speed + constants.earth_rotation_rate * earth_r) * span_s
+        drift = (constellation.speed_km_s + constants.earth_rotation_rate * earth_r) * span_s
         self.kept = np.full(len(self._xyz0), not budgets)
         for a, b, budget_km in budgets:
             self.kept |= ranges[a] + ranges[b] <= budget_km * (1.0 + _CONE_MARGIN) + 2.0 * drift
         self.pruned = not self.kept.all()
         sats = np.flatnonzero(self.kept)
         pairs = sats[cKDTree(self._xyz0[sats]).query_pairs(
-            r=self.reach * (1.0 + _CHORD_MARGIN) + 2.0 * speed * span_s,
+            r=self.reach * (1.0 + _CHORD_MARGIN) + 2.0 * constellation.speed_km_s * span_s,
             output_type="ndarray")]
 
         cone_km = mask_slant_km(constellation, params.min_elevation_deg) * (1.0 + _CONE_MARGIN)
@@ -319,8 +312,7 @@ def candidate_blocks(
     only when the caller asks for it, so a caller that has let go of one
     never holds two.
     """
-    longest = BLOCK_MARGIN_KM / (2.0 * orbital_speed_km_s(constellation.cfg,
-                                                          constellation.constants))
+    longest = BLOCK_MARGIN_KM / (2.0 * constellation.speed_km_s)
     start = 0
     while start < len(times):
         stop = start + 1
@@ -347,13 +339,11 @@ def build_snapshot(
     labels = [s.label for s in stations]
     if len(set(labels)) != len(labels):
         raise ValueError("ground station labels must be unique")
-    ordered = sorted(stations, key=lambda s: s.label)
-    candidates = LinkCandidates(constellation, ordered, t, 0.0, params)
+    candidates = LinkCandidates(constellation, stations, t, 0.0, params)
     dist, is_link = candidates.at(t)
     return SnapshotGraph(
         slot_index=slot_index,
-        time_s=t,
-        ground_labels=tuple(s.label for s in ordered),
+        ground_labels=tuple(labels),
         sat_ids=constellation.sat_ids,
         edge_i=candidates.link_i[is_link],
         edge_j=candidates.link_j[is_link],

@@ -51,7 +51,7 @@ def snapshot_from_edges(edges, nodes=(), c_vacuum: float = CONSTANTS.c_vacuum) -
     non-positive distances are rejected.
     """
     edges = list(edges)
-    # Stations before satellites, each by label, as build_snapshot numbers them.
+    # Stations before satellites, each sorted by label.
     ordered = sorted(set(nodes) | {n for a, b, _ in edges for n in (a, b)},
                      key=lambda n: (not n.is_ground, n.label))
     index = {n: k for k, n in enumerate(ordered)}
@@ -73,7 +73,6 @@ def snapshot_from_edges(edges, nodes=(), c_vacuum: float = CONSTANTS.c_vacuum) -
     order = np.lexsort((ej, ei))
     return SnapshotGraph(
         slot_index=0,
-        time_s=0.0,
         ground_labels=tuple(n.label for n in ordered if n.is_ground),
         sat_ids=tuple(n.label for n in ordered if not n.is_ground),
         edge_i=ei[order],
@@ -91,12 +90,6 @@ def links_at(candidates: LinkCandidates, t: float):
     return candidates.link_i[is_link], candidates.link_j[is_link], dist[is_link]
 
 
-def slot_links(constellation, stations, t: float, params: TopologyParams):
-    """Laser pairs within range and station-satellite links above the mask
-    at t, as the edge arrays of links_at over a one-slot LinkCandidates."""
-    return links_at(LinkCandidates(constellation, stations, t, 0.0, params), t)
-
-
 def parse_sat_id(sat_id: str) -> tuple[int, int]:
     """Inverse of constellation.format_sat_id; rejects malformed strings."""
     m = _SAT_ID_RE.match(sat_id)
@@ -108,11 +101,11 @@ def parse_sat_id(sat_id: str) -> tuple[int, int]:
     return plane, slot
 
 
-def neighbor_census(links, n_stations: int, cfg: ConstellationConfig) -> np.ndarray:
-    """(n_sats, 4) link counts per satellite, in columns intra-plane,
-    adjacent-plane, crossing-plane and ground, from slot_links' edge arrays
-    over n_stations stations; each row sums to the satellite's degree."""
-    edge_i, edge_j, _ = links
+def neighbor_census(graph: SnapshotGraph, cfg: ConstellationConfig) -> np.ndarray:
+    """(n_sats, 4) link counts per satellite of the graph, in columns
+    intra-plane, adjacent-plane, crossing-plane and ground; each row sums to
+    the satellite's degree."""
+    n_stations, edge_i, edge_j = graph.n_ground, graph.edge_i, graph.edge_j
     laser = edge_i >= n_stations
     sat_i, sat_j = edge_i[laser] - n_stations, edge_j[laser] - n_stations
     counts = np.zeros((cfg.total_sats, 4), dtype=np.int64)

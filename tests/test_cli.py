@@ -3,14 +3,14 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 
 import pytest
 
 from leolat import cli, experiment
 from leolat.cli import CliError, RunConfig, load_config, main, round4, slugify
-from leolat.constellation import ConstellationConfig
+from leolat.constellation import Constellation, ConstellationConfig
 from leolat.experiment import builtin_scenarios
+from leolat.geo import GeodeticPoint
 
 NY_DUBLIN_CSV = "new_york_dublin_slots.csv"
 # One scenario whose two stations are one point: its fiber baseline is 0 km.
@@ -401,7 +401,7 @@ class TestConfigLoading:
         assert cfg.constants.earth_radius_km == 6371.0
         assert cfg.duration_s == 10
 
-    def test_config_step_builds_one_run_config_and_one_shell(self, tmp_path, monkeypatch):
+    def test_config_step_builds_one_run_config_and_no_shell(self, tmp_path, monkeypatch):
         p = tmp_path / "cfg.yaml"
         p.write_text("constellation: {altitude_km: 600.0}\nduration_s: 10\n")
         built = collections.Counter()
@@ -414,13 +414,14 @@ class TestConfigLoading:
 
         monkeypatch.setattr(RunConfig, "__post_init__",
                             counted("RunConfig", RunConfig.__post_init__))
-        monkeypatch.setattr(cli, "Constellation", counted("Constellation", cli.Constellation))
+        monkeypatch.setattr(Constellation, "__init__",
+                            counted("Constellation", Constellation.__init__))
         configs = []
         monkeypatch.setattr(cli, "cmd_run", lambda cfg, workers: configs.append(cfg) or 0)
         out = str(tmp_path / "out")
         assert main(["run", "--config", str(p), "--out", out, "--duration", "4",
                      "--phase-factor", "5"]) == 0
-        assert built == {"RunConfig": 1, "Constellation": 1}
+        assert built == {"RunConfig": 1}
         (cfg,) = configs
         assert (cfg.out_dir, cfg.duration_s) == (out, 4.0)
         assert cfg.constellation == ConstellationConfig(altitude_km=600.0, phase_factor=5)
@@ -461,6 +462,40 @@ class TestConfigLoading:
         p.write_text("constellation: [unclosed\n")
         assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
         assert "YAML" in capsys.readouterr().err
+
+    def test_non_utf8_file_fails_naming_the_file(self, tmp_path, capsys):
+        p = tmp_path / "latin1.yaml"
+        p.write_bytes("duration_s: 2\n# S\xe3o Paulo\n".encode("latin-1"))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert f"cannot read config {p}: 'utf-8' codec" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "yaml_text,key,line",
+        [("duration_s: 2\nslot_s: 1\nduration_s: 4\n", "duration_s", 3),
+         ("topology: {min_elevation_deg: 30}\ntopology: {lisl_range_km: 2000}\nduration_s: 2\n",
+          "topology", 2),
+         ("duration_s: 2\nscenarios:\n  - name: A-B\n"
+          "    src:\n      latitude_deg: 10.0\n      longitude_deg: 20.0\n      label: a\n"
+          "      latitude_deg: 11.0\n"
+          "    dst: {latitude_deg: 20.0, longitude_deg: 30.0, label: b}\n", "latitude_deg", 8)],
+        ids=["top-level-key", "section", "scenario-src-key"],
+    )
+    def test_repeated_keys_rejected(self, tmp_path, capsys, yaml_text, key, line):
+        # PyYAML alone keeps the last value: the first would be dropped silently.
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml_text)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert f"config key {key!r} repeated on line {line}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_merge_key_values_may_be_overridden(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("scenarios:\n  - name: A-B\n"
+                     "    src: &a {latitude_deg: 10.0, longitude_deg: 20.0, label: a}\n"
+                     "    dst: {<<: *a, latitude_deg: 30.0, label: b}\n")
+        (scenario,) = load_config(p).scenarios
+        assert scenario.dst == GeodeticPoint(30.0, 20.0, "b")
 
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import parse_sat_id
-from leolat.constellation import (
-    Constellation,
-    ConstellationConfig,
-    format_sat_id,
-    orbital_period_s,
-)
+from leolat.constellation import Constellation, ConstellationConfig, format_sat_id
 from leolat.geo import CONSTANTS
 
 A = 6928.0  # shell radius at 550 km over the 6,378 km Earth
@@ -109,8 +104,8 @@ class TestPropagation:
         # satellite 0 has raan 0 and anomaly 0
         assert np.allclose(default_constellation.positions_at(0.0)[0], [A, 0, 0], atol=1e-9)
 
-    def test_quarter_period_position(self, default_cfg, default_constellation):
-        period = orbital_period_s(default_cfg)
+    def test_quarter_period_position(self, default_constellation):
+        period = 2.0 * math.pi / default_constellation.mean_motion_rad_s
         assert period == pytest.approx(5738.6, abs=1.0)
         inc = math.radians(53.0)
         expected = [0.0, A * math.cos(inc), A * math.sin(inc)]
@@ -131,8 +126,8 @@ class TestPropagation:
             r = float(np.linalg.norm(default_constellation.positions_at(rng.uniform(0, 20000))[k]))
             assert abs(r - A) < 1e-6
 
-    def test_periodicity(self, default_cfg, default_constellation):
-        period = orbital_period_s(default_cfg)
+    def test_periodicity(self, default_constellation):
+        period = 2.0 * math.pi / default_constellation.mean_motion_rad_s
         for t in (0.0, 100.0, 2500.0):
             p1 = default_constellation.positions_at(t)[777]
             p2 = default_constellation.positions_at(t + period)[777]
@@ -149,6 +144,9 @@ class TestPropagation:
             default_constellation.positions_at(-1.0)
 
 
-def test_mean_speed_matches_circular_orbit_formula(default_cfg):
+def test_mean_speed_matches_circular_orbit_formula(default_constellation):
     # sqrt(mu/a) is the circular speed the finite-difference test sees.
+    assert default_constellation.radius_km == A
+    assert default_constellation.speed_km_s == pytest.approx(math.sqrt(CONSTANTS.mu_earth / A),
+                                                             rel=1e-12)
     assert math.sqrt(CONSTANTS.mu_earth / A) == pytest.approx(7.585, abs=0.01)

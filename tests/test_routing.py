@@ -1,4 +1,3 @@
-import math
 import os
 import random
 import subprocess
@@ -37,7 +36,6 @@ class TestShortestPath:
         route = shortest_path(g, a, c)
         assert route.labels() == ["a", "b", "c"]
         assert route.total_latency_s * 1000.0 == pytest.approx(3.0, rel=1e-12)
-        assert route.hop_latencies_s == pytest.approx((0.001, 0.002))
 
     def test_equal_cost_tie_breaks_lexicographically(self):
         a, b, c, d = ground("a", "b", "c", "d")
@@ -229,10 +227,7 @@ class TestRoutesOnConstellation:
             assert all(not n.is_ground for n in route.nodes[1:-1])
             assert len(set(route.nodes)) == len(route.nodes)
             assert route.total_latency_s * 1000.0 >= bound_ms
-            # hops follow graph edges, and the totals add up
-            assert route.total_latency_s == pytest.approx(
-                sum(route.hop_latencies_s), rel=1e-12
-            )
+            # hops follow graph edges
             edges = edge_set(graph)
             for x, y in zip(route.nodes, route.nodes[1:]):
                 assert (x.label, y.label) in edges or (y.label, x.label) in edges

@@ -1,9 +1,10 @@
 """Static checks on the package source.
 
 No linter ships with the test dependencies, so this stands in for the two
-rules that deletions most often break: a module under src/leolat must use
-every name it imports, and every function, class and method it defines
-must be referenced somewhere in the source, the tests or the benchmark.
+rules that deletions most often break: a module under src/leolat or tests
+must use every name it imports, and every function, class and method
+defined under src/leolat must be referenced somewhere in the source, the
+tests or the benchmark.
 """
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "leolat"
+TESTS = ROOT / "tests"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -39,9 +41,10 @@ def test_checker_finds_unused_imports():
     assert unused_imports(source) == ["2: os", "5: pi"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
-def test_every_import_is_used(module):
-    assert unused_imports((SRC / module).read_text()) == []
+@pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
 
 
 def defined_names(source: str) -> list[str]:

@@ -12,16 +12,9 @@ from conftest import (
     links_at,
     neighbor_census,
     parse_sat_id,
-    slot_links,
     snapshot_from_edges,
 )
-from leolat.constellation import (
-    Constellation,
-    ConstellationConfig,
-    orbit_radius_km,
-    orbital_period_s,
-    orbital_speed_km_s,
-)
+from leolat.constellation import Constellation, ConstellationConfig
 from leolat.geo import CONSTANTS, GeodeticPoint, elevation_angles, geodetic_to_inertial
 from leolat.routing import link_latencies, shortest_path
 from leolat.topology import (
@@ -73,8 +66,7 @@ class TestClassify:
 
 
 def census_at(constellation, stations, t, params):
-    links = slot_links(constellation, stations, t, params)
-    return neighbor_census(links, len(stations), constellation.cfg)
+    return neighbor_census(build_snapshot(constellation, stations, t, params), constellation.cfg)
 
 
 class TestSnapshot:
@@ -97,8 +89,8 @@ class TestSnapshot:
     def test_all_nodes_present_and_ordered(self, default_constellation):
         graph = build_snapshot(default_constellation, STATIONS, 0.0, TopologyParams())
         assert graph.n_nodes == 1586
-        assert graph.ground_labels == ("Dub", "NY")
-        assert graph.node_ref(0) == NodeRef.ground("Dub")
+        assert graph.ground_labels == ("NY", "Dub")
+        assert graph.node_ref(0) == NodeRef.ground("NY")
         assert graph.node_ref(2) == NodeRef.satellite("x10101")
         assert graph.index_of(NodeRef.satellite("x12466")) == graph.n_nodes - 1
 
@@ -142,9 +134,8 @@ class TestSnapshot:
         # oracle, at epochs spread over one orbit plus every whole second
         # at which some pair lies within 0.1% of the tangent chord.
         shell = small_constellation
-        tangent = 2.0 * math.sqrt(orbit_radius_km(shell.cfg, shell.constants) ** 2
-                                  - shell.constants.earth_radius_km**2)
-        period = orbital_period_s(shell.cfg, shell.constants)
+        tangent = 2.0 * math.sqrt(shell.radius_km**2 - shell.constants.earth_radius_km**2)
+        period = 2.0 * math.pi / shell.mean_motion_rad_s
         near, beyond = [], 0
         for t in np.arange(0.0, period, 1.0):
             xyz = shell.positions_at(t)
@@ -214,8 +205,8 @@ def test_pair_lengths_match_row_norms(seed, n_points, n_pairs, radius):
 
 class TestCensus:
     def test_class_counts_sum_to_degree(self, default_constellation):
-        census = census_at(default_constellation, STATIONS, 321.0, TopologyParams())
         graph = build_snapshot(default_constellation, STATIONS, 321.0, TopologyParams())
+        census = neighbor_census(graph, default_constellation.cfg)
         degree = np.bincount(np.concatenate([graph.edge_i, graph.edge_j]),
                              minlength=graph.n_nodes)[graph.n_ground:]
         n_ground_links = np.count_nonzero(graph.edge_i < graph.n_ground)
@@ -223,13 +214,12 @@ class TestCensus:
         assert (census.sum(axis=1) == degree).all()
 
     def test_class_counts_match_parsed_ids(self, default_constellation):
-        links = slot_links(default_constellation, STATIONS, 77.0, TopologyParams())
-        n_st = len(STATIONS)
-        census = neighbor_census(links, n_st, default_constellation.cfg)
+        graph = build_snapshot(default_constellation, STATIONS, 77.0, TopologyParams())
+        n_st = graph.n_ground
+        census = neighbor_census(graph, default_constellation.cfg)
         ids = default_constellation.sat_ids
         expected = np.zeros_like(census)
-        edge_i, edge_j, _ = links
-        for i, j in zip(edge_i.tolist(), edge_j.tolist()):
+        for i, j in zip(graph.edge_i.tolist(), graph.edge_j.tolist()):
             if i < n_st:
                 expected[j - n_st, 3] += 1
                 continue
@@ -247,15 +237,15 @@ class TestCensus:
 
     def test_empty_graph_yields_empty_census(self):
         cfg = ConstellationConfig(num_planes=3, sats_per_plane=4)
-        none = np.zeros(0, dtype=np.int32)
-        links = (none, none, np.zeros(0))
-        assert (neighbor_census(links, 1, cfg) == np.zeros((12, 4))).all()
+        graph = snapshot_from_edges([], nodes=[NodeRef.ground("a")])
+        assert (neighbor_census(graph, cfg) == np.zeros((12, 4))).all()
 
 
 def link_arrays(links, n_stations: int, n_sats: int) -> list[bytes]:
-    """slot_links' edge arrays as comparable bytes: which entries are
-    laser links, the laser pairs in ascending order with their lengths,
-    then the uplinks' stations, satellites and slant ranges in order."""
+    """Edge arrays (edge_i, edge_j, dist_km) as comparable bytes: which
+    entries are laser links, the laser pairs in ascending order with their
+    lengths, then the uplinks' stations, satellites and slant ranges in
+    order."""
     edge_i, edge_j, dist = links
     laser = edge_i >= n_stations
     key = (edge_i[laser] - n_stations).astype(np.int64) * n_sats + edge_j[laser] - n_stations
@@ -265,7 +255,7 @@ def link_arrays(links, n_stations: int, n_sats: int) -> list[bytes]:
 
 
 def link_labels(links, shell, stations) -> set[tuple[str, str]]:
-    """slot_links' edge arrays in the form of conftest.edge_set."""
+    """links_at's edge arrays in the form of conftest.edge_set."""
     names = [station.label for station in stations] + list(shell.sat_ids)
     edge_i, edge_j, _ = links
     return {(names[i], names[j]) for i, j in zip(edge_i.tolist(), edge_j.tolist())}
@@ -284,17 +274,18 @@ class TestLinkCandidates:
                                                        occlusion_check):
         shell = Constellation(self.ORBIT_SHELL)
         params = TopologyParams(lisl_range_km=lisl_range_km, occlusion_check=occlusion_check)
-        period = orbital_period_s(shell.cfg, shell.constants)
+        period = 2.0 * math.pi / shell.mean_motion_rad_s
         times = [float(k * slot_s) for k in range(math.ceil(period / slot_s) + 1)]
-        k_slots = 1 + math.floor(BLOCK_MARGIN_KM / (2.0 * orbital_speed_km_s(shell.cfg) * slot_s))
+        k_slots = 1 + math.floor(BLOCK_MARGIN_KM / (2.0 * shell.speed_km_s * slot_s))
         assert k_slots == {1: 10, 2: 5, 7: 2, 60: 1}[slot_s]
         seen = []
         for candidates, block in candidate_blocks(shell, STATIONS, times, params):
             assert len(block) == k_slots or block[-1] == times[-1]
             for t in block:
+                graph = build_snapshot(shell, STATIONS, t, params)
                 assert link_arrays(links_at(candidates, t), len(STATIONS), len(shell)) \
-                    == link_arrays(slot_links(shell, STATIONS, t, params), len(STATIONS),
-                                   len(shell)), t
+                    == link_arrays((graph.edge_i, graph.edge_j, graph.edge_dist_km),
+                                   len(STATIONS), len(shell)), t
             seen += block
         assert seen == times
 
@@ -323,7 +314,7 @@ class TestLinkCandidates:
         src, dst = (NodeRef.ground(st.label) for st in stations)
         km_per_s = shell.constants.c_vacuum / 1000.0
         budget_km = route_budget_km(shell, *stations, params)
-        period = orbital_period_s(shell.cfg, shell.constants)
+        period = 2.0 * math.pi / shell.mean_motion_rad_s
         times = [float(k * 3) for k in range(math.ceil(period / 3) + 1)]
         within = pruned = 0
         for candidates, block in candidate_blocks(shell, stations, times, params,
@@ -335,7 +326,7 @@ class TestLinkCandidates:
                 if route is None or route.total_latency_s * km_per_s > budget_km:
                     continue
                 within += 1
-                sats = [shell.sat_index[n.label] for n in route.nodes if not n.is_ground]
+                sats = [shell.sat_ids.index(n.label) for n in route.nodes if not n.is_ground]
                 tight = LinkCandidates(shell, stations, block[0], candidates.span_s, params,
                                        [(0, 1, route.total_latency_s * km_per_s)])
                 assert candidates.kept[sats].all() and tight.kept[sats].all(), t
