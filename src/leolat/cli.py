@@ -48,6 +48,7 @@ import logging
 import re
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -401,7 +402,8 @@ def _add_common(p: argparse.ArgumentParser, workers: bool = True) -> None:
                    help="override the sweep duration in seconds")
     if workers:
         p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes over time slots (default 1)")
+                       help="processes routing time slots, this one included and at most one "
+                            "per usable core; this one routes the first chunk (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "export-geojson":
             return cmd_export_geojson(cfg, args.scenario, args.slot)
         raise CliError(f"unhandled command {args.command!r}")  # pragma: no cover
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

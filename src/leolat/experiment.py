@@ -12,7 +12,7 @@ every output independent of worker count.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import numbers
 import os
@@ -269,6 +269,13 @@ def _route_block(
     return list(_SlotEngine(cfg, params, scenarios, constants).route_slots(times))
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity mask, else the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_scenarios(
     scenarios: Sequence[Scenario],
     cfg: ConstellationConfig,
@@ -283,8 +290,9 @@ def run_scenarios(
 
     Slot k is evaluated at t = (k-1)*slot_s seconds past epoch; slot_s must
     divide duration_s. Each slot's graph is built once for all scenarios.
-    With workers > 1, the slots are cut into that many contiguous chunks,
-    routed by a process pool of at most one process per core and merged
+    The slots are cut into P = max(1, min(workers, usable_cores(),
+    n_slots // 2)) contiguous chunks: workers counts this process. It routes
+    the first chunk while a pool of P - 1 processes routes the rest, merged
     back in slot order. A station label may name only one point.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
@@ -294,15 +302,18 @@ def run_scenarios(
     times = [(k - 1) * slot_s for k in range(1, n_slots + 1)]
     per_slot: list[list[Route | None]] = []
     if n_slots and scenarios:
-        if workers == 1 or n_slots < 2 * workers:
-            per_slot = _route_block(cfg, params, scenarios, constants, times)
+        procs = max(1, min(workers, usable_cores(), n_slots // 2))
+        bounds = [(n_slots * w) // procs for w in range(procs + 1)]
+        chunks = [times[bounds[w]:bounds[w + 1]] for w in range(procs)]
+        route = functools.partial(_route_block, cfg, params, scenarios, constants)
+        if procs == 1:
+            per_slot = route(chunks[0])
         else:
-            bounds = [(n_slots * w) // workers for w in range(workers + 1)]
-            chunks = [times[bounds[w]:bounds[w + 1]] for w in range(workers)]
-            with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-                for part in pool.map(_route_block, itertools.repeat(cfg), itertools.repeat(params),
-                                     itertools.repeat(scenarios), itertools.repeat(constants),
-                                     chunks):
+            # Fork the pool first, so it does not inherit this process's routing memory.
+            with ProcessPoolExecutor(max_workers=procs - 1) as pool:
+                parts = pool.map(route, chunks[1:])
+                per_slot = route(chunks[0])
+                for part in parts:
                     per_slot.extend(part)
     per_scenario = [[slot[q] for slot in per_slot] for q in range(len(scenarios))]
     return [(routes, summarize(sc, routes, constants))

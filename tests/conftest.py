@@ -6,6 +6,7 @@ from heapq import heappop, heappush
 import numpy as np
 import pytest
 
+from leolat import experiment
 from leolat.constellation import Constellation, ConstellationConfig
 from leolat.geo import CONSTANTS, elevation_angles, geodetic_to_inertial, segments_clear
 from leolat.topology import (
@@ -20,6 +21,12 @@ from leolat.topology import (
 KM_PER_MS = 299.792458
 
 _SAT_ID_RE = re.compile(r"^x1(\d{2})(\d{2})$")
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores on any host, so that two workers cut two chunks."""
+    monkeypatch.setattr(experiment, "usable_cores", lambda: 2)
 
 
 @pytest.fixture(scope="session")

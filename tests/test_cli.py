@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import json
 import logging
+import multiprocessing
+import os
 
 import pytest
 
@@ -11,6 +13,17 @@ from leolat.cli import CliError, RunConfig, load_config, main, round4, slugify
 from leolat.constellation import Constellation, ConstellationConfig
 from leolat.experiment import builtin_scenarios
 from leolat.geo import GeodeticPoint
+
+ROUTE_BLOCK = experiment._route_block
+
+
+def die_in_workers(*args):
+    """_route_block that ends every process but the one whose pid is
+    $LEOLAT_TEST_PID; a module-level function, so that a pool can pickle it."""
+    if os.getpid() != int(os.environ["LEOLAT_TEST_PID"]):
+        os._exit(3)
+    return ROUTE_BLOCK(*args)
+
 
 NY_DUBLIN_CSV = "new_york_dublin_slots.csv"
 # One scenario whose two stations are one point: its fiber baseline is 0 km.
@@ -96,7 +109,7 @@ class TestRun:
             assert rec["improvement_pct"] == 100.0 * rec["improvement_ms"] / rec["oftn_latency_ms"]
             assert rec["owsn_min_ms"] <= rec["owsn_avg_latency_ms"] <= rec["owsn_max_ms"]
 
-    def test_byte_identical_across_runs_and_worker_counts(self, tmp_path):
+    def test_byte_identical_across_runs_and_worker_counts(self, tmp_path, two_cores):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--out", str(a), "--duration", "6"]) == 0
         assert main(["run", "--out", str(b), "--duration", "6", "--workers", "2"]) == 0
@@ -111,6 +124,19 @@ class TestRun:
         assert main(["run", "--out", str(out), "--duration", "2", "--workers", workers]) == 1
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_worker_that_dies_fails_without_a_traceback(self, tmp_path, capsys, monkeypatch,
+                                                        two_cores):
+        # A real pool of one process, which exits while routing its chunk.
+        monkeypatch.setenv("LEOLAT_TEST_PID", str(os.getpid()))
+        monkeypatch.setattr(experiment, "_route_block", die_in_workers)
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--duration", "8", "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "error: A process in the process pool was terminated abruptly" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("custom", [False, True], ids=["default", "custom"])
     def test_config_echo_loads_back_to_the_run_config(self, tmp_path, custom):
@@ -246,7 +272,7 @@ class TestSweepRange:
         assert "--ranges" in err and "abc" in err
         assert not out.exists()
 
-    def test_pruned_sweep_agrees_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_pruned_sweep_agrees_across_worker_counts(self, tmp_path, monkeypatch, two_cores):
         cfg = tmp_path / "regional.yaml"
         cfg.write_text(REGIONAL_YAML)
         pruned = []
@@ -259,16 +285,17 @@ class TestSweepRange:
 
         monkeypatch.setattr(experiment, "candidate_blocks", spy)
         texts = []
-        # With 2 workers the second chunk starts at t = 11 s, one slot into
-        # a block.
+        # With 2 workers this process routes t = 0-10 s, and the pool's
+        # chunk starts at t = 11 s, one slot into a block.
         for workers in ("1", "2"):
             out = tmp_path / workers
             assert main(["sweep-range", "--config", str(cfg), "--out", str(out),
                          "--duration", "23", "--ranges", "1000,6000",
                          "--workers", workers]) == 0
             texts.append((out / "sweep_range.csv").read_bytes())
-        # The in-process run (1 worker) saw 3 blocks per range, all pruned.
-        assert pruned == [True] * 6
+        # Every block routed in this process was pruned: 3 per range with 1
+        # worker, and the 2 per range of the first chunk with 2 workers.
+        assert pruned == [True] * 10
         assert texts[0] == texts[1]
 
     def test_zero_fiber_baseline_accepted(self, tmp_path):

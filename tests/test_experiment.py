@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 
 import networkx as nx
@@ -98,6 +99,18 @@ def latency_ms(route):
     return route.total_latency_s * 1000.0
 
 
+ROUTE_BLOCK = experiment._route_block
+
+
+def record_chunk(*args):
+    """_route_block that first appends this process's pid and the chunk's
+    first time to the file named by $LEOLAT_TEST_CHUNKS; a module-level
+    function, so that a pool can pickle it."""
+    with open(os.environ["LEOLAT_TEST_CHUNKS"], "a") as f:
+        f.write(f"{os.getpid()} {args[-1][0]}\n")
+    return ROUTE_BLOCK(*args)
+
+
 class TestRunScenario:
     def test_slot_count_and_order(self, short_run):
         # Slot k is the route at index k - 1.
@@ -177,7 +190,7 @@ class TestRunScenario:
         assert summary.unreachable_slots == 5
         assert summary.owsn_avg_latency_ms is None
 
-    def test_worker_pool_merges_identically(self, default_cfg):
+    def test_worker_pool_merges_identically(self, default_cfg, two_cores):
         scenario = builtin_scenarios()[0]
         seq, _ = run_scenarios([scenario], default_cfg, TopologyParams(), duration_s=8)[0]
         par, _ = run_scenarios([scenario], default_cfg, TopologyParams(), duration_s=8,
@@ -207,16 +220,16 @@ class TestRunScenario:
                 run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=8,
                               workers=workers)
 
-    def test_pool_never_larger_than_the_core_count(self, default_cfg, monkeypatch):
-        # The pool runs in this process, so no process starts; the cores
-        # are patched to 2, so 8 workers must ask for 2 processes but still
-        # route 8 chunks of slots.
-        pools = []
+    def test_pool_never_larger_than_the_core_count(self, default_cfg, monkeypatch, two_cores):
+        # The pool runs inline, so no process starts. On 2 usable cores, 8
+        # workers cut 2 chunks: a pool of one process routes the second and
+        # this process the first.
+        pools, routed = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
                 self.max_workers = max_workers
-                self.tasks = 0
+                self.tasks = []
                 pools.append(self)
 
             def __enter__(self):
@@ -227,17 +240,59 @@ class TestRunScenario:
 
             def map(self, fn, *iterables):
                 for args in zip(*iterables):
-                    self.tasks += 1
+                    self.tasks.append(args[0][0])
                     yield fn(*args)
 
+        def spy(*args):
+            routed.append(args[-1][0])
+            return ROUTE_BLOCK(*args)
+
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiment, "_route_block", spy)
         scenarios = builtin_scenarios()
         eight = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=16, workers=8)
-        assert [(p.max_workers, p.tasks) for p in pools] == [(2, 8)]
+        assert [(p.max_workers, p.tasks) for p in pools] == [(1, [8])]
+        assert routed == [0, 8]
         one = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=16, workers=1)
         assert len(pools) == 1
         assert eight == one
+
+    @pytest.mark.parametrize("workers,cores,duration_s", [(1, 2, 16), (2, 1, 16), (2, 2, 3)],
+                             ids=["one-worker", "one-core", "under-two-slots-a-process"])
+    def test_one_process_starts_no_pool(self, default_cfg, monkeypatch, workers, cores,
+                                        duration_s):
+        def pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(experiment, "usable_cores", lambda: cores)
+        ((routes, _),) = run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(),
+                                       duration_s=duration_s, workers=workers)
+        assert len(routes) == duration_s
+
+    def test_this_process_routes_the_first_chunk(self, default_cfg, monkeypatch, tmp_path,
+                                                 two_cores):
+        # A real pool of one process.
+        log = tmp_path / "chunks.txt"
+        monkeypatch.setenv("LEOLAT_TEST_CHUNKS", str(log))
+        monkeypatch.setattr(experiment, "_route_block", record_chunk)
+        run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(), duration_s=8,
+                      workers=2)
+        lines = log.read_text().splitlines()
+        pids = {float(t): int(pid) for pid, t in map(str.split, lines)}
+        assert len(lines) == 2
+        assert sorted(pids) == [0, 4]
+        assert pids[0] == os.getpid() != pids[4]
+        assert multiprocessing.active_children() == []
+
+    def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert experiment.usable_cores() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert experiment.usable_cores() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiment.usable_cores() == 1
 
 
 def test_summarize_reproduces_reference_baseline_for_builtin_pairs():
@@ -312,15 +367,16 @@ class TestSlotEngine:
         "params,slot_s,duration_s",
         [
             # 1 s slots share candidates in blocks of 10: with 2 workers the
-            # second worker's first block starts at slot 12 (t = 11 s).
+            # pool's chunk starts at slot 12 (t = 11 s).
             (TopologyParams(min_elevation_deg=30.0), 1, 23),
-            # Blocks of 4 slots past the occlusion threshold; the second
-            # worker starts at t = 9 s, three slots into a block.
+            # Blocks of 4 slots past the occlusion threshold; the pool's
+            # chunk starts at t = 9 s, three slots into a block.
             (TopologyParams(lisl_range_km=6000.0, min_elevation_deg=30.0), 3, 21),
         ],
         ids=["1500km", "6000km"],
     )
-    def test_routes_equal_one_slot_reference(self, params, slot_s, duration_s, workers):
+    def test_routes_equal_one_slot_reference(self, params, slot_s, duration_s, workers,
+                                             two_cores):
         cfg = ConstellationConfig(phase_factor=11, epoch=777.0)
         scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
         runs = run_scenarios(scenarios, cfg, params, duration_s=duration_s, slot_s=slot_s,
@@ -336,7 +392,7 @@ class TestSlotEngine:
                 # Node sequence, each hop's latency and the total.
                 assert route == reference, (scenario.name, k)
 
-    def test_worker_counts_agree(self, default_cfg):
+    def test_worker_counts_agree(self, default_cfg, two_cores):
         scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
         one = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=9, workers=1)
         two = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=9, workers=2)
