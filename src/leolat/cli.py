@@ -167,6 +167,13 @@ def _scenarios(entries) -> tuple[Scenario, ...]:
         for i, sc in enumerate(entries, start=1))
 
 
+def _formats(value) -> tuple[str, ...]:
+    formats = [value] if isinstance(value, str) else value
+    if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
+        raise CliError(f"formats must be a string or a list of strings, got {value!r}")
+    return tuple(formats)
+
+
 def load_config(path: str | Path | None, out_dir: str | None = None,
                 duration_s: float | None = None, phase_factor: int | None = None) -> RunConfig:
     """RunConfig from a YAML file (None: no file) and the CLI options: an
@@ -197,7 +204,7 @@ def load_config(path: str | Path | None, out_dir: str | None = None,
         topology=functools.partial(_from_mapping, TopologyParams, "topology"),
         constants=functools.partial(_from_mapping, PhysicalConstants, "constants"),
         scenarios=_scenarios,
-        formats=lambda formats: (formats,) if isinstance(formats, str) else tuple(formats))
+        formats=_formats)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -124,3 +124,45 @@ class Constellation:
             raise ValueError("t must be >= 0")
         return _propagate(self._raan, self._anom0, t - self.cfg.epoch, self.radius_km,
                           self.mean_motion_rad_s, self._inc)
+
+    def pairs_within(self, t: float, xyz: np.ndarray, chord_km: float,
+                     kept: np.ndarray) -> np.ndarray:
+        """(M, 2) pairs i < j of kept satellites that may be at most chord_km
+        apart at t, xyz being positions_at(t): every pair within the chord,
+        and none more than a rounding error longer.
+
+        Unit vectors u and v are within the chord iff u.v >= c = 1 - chord^2
+        / (2 r^2). With a and b u's components along plane q's axes e1 and
+        e2, and rho = sqrt(a^2 + b^2), q's satellites within reach fill the
+        arc |theta - atan2(b, a)| <= arccos(c / rho): none unless rho >= c,
+        and all of them when c <= -rho.
+        """
+        cfg, per_plane = self.cfg, self.cfg.sats_per_plane
+        # A slack of a few rounding errors in u.v, so that a pair at the
+        # chord stays even where arccos is steepest, at 0 and at pi.
+        c = 1.0 - chord_km**2 / (2.0 * self.radius_km**2) - 4e-15
+        sats = np.flatnonzero(kept)
+        u = xyz[sats] / self.radius_km
+        raan, zero = self._raan[::per_plane], np.zeros(cfg.num_planes)
+        e1 = _propagate(raan, zero, 0.0, 1.0, 0.0, self._inc)
+        e2 = _propagate(raan, zero + math.pi / 2.0, 0.0, 1.0, 0.0, self._inc)
+        a, b = u @ e1.T, u @ e2.T
+        rho = np.hypot(a, b)
+        # Each pair of planes once: q >= the satellite's own plane.
+        row, q = np.nonzero((np.arange(cfg.num_planes) >= (sats // per_plane)[:, None])
+                            & (rho >= c))
+        a, b, rho = a[row, q], b[row, q], rho[row, q]
+        cos_w = np.divide(c, rho, out=np.full(len(rho), -1.0), where=rho > 0.0)
+        # The arc in slots, from the anomaly of plane q's slot 0 at t.
+        theta0 = (self._anom0[::per_plane] + self.mean_motion_rad_s * (t - cfg.epoch)) \
+            % (2.0 * math.pi)
+        per_rad = per_plane / (2.0 * math.pi)
+        centre = (np.arctan2(b, a) - theta0[q]) * per_rad
+        half = np.arccos(np.clip(cos_w, -1.0, 1.0)) * per_rad
+        lo = np.ceil(centre - half - 1e-9).astype(np.int64)
+        count = np.clip(np.floor(centre + half + 1e-9).astype(np.int64) - lo + 1, 0, per_plane)
+        slot = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        i = np.repeat(sats[row], count)
+        j = np.repeat(q * per_plane, count) + slot % per_plane
+        keep = (j > i) & kept[j]
+        return np.stack([i[keep], j[keep]], axis=1)

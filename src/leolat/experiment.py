@@ -12,13 +12,13 @@ every output independent of worker count.
 
 from __future__ import annotations
 
-import functools
+import importlib
 import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,6 +43,10 @@ from .topology import LinkCandidates, NodeRef, TopologyParams, candidate_blocks,
 # shortcut the corridor and undercut the reference latencies by ~5-10%.
 REPRODUCTION_PHASE_FACTOR = 11
 REPRODUCTION_MIN_ELEVATION_DEG = 30.0
+
+# Most slots one run may hold: every route is kept in memory, about 1.15 KB
+# per slot for the three built-in scenarios, so 1.2 GB at the bound.
+MAX_SLOTS = 1_000_000
 
 # Financial-exchange coordinates for the built-in scenarios (public
 # street-address records: NYSE, Euronext Dublin, B3, LSE, TSX, ASX).
@@ -150,11 +154,14 @@ def check_station_labels(scenarios: Sequence[Scenario]) -> None:
 
 
 def slot_count(duration_s: float, slot_s: float) -> int:
-    """Number of slots in the horizon; slot_s must divide duration_s."""
+    """Number of slots in the horizon, at most MAX_SLOTS; slot_s must divide duration_s."""
     check_number("duration_s", duration_s)
     check_number("slot_s", slot_s)
     if slot_s <= 0 or duration_s < 0:
         raise ValueError("slot_s must be > 0 and duration_s >= 0")
+    if not duration_s / slot_s < MAX_SLOTS + 0.5:
+        raise ValueError(f"duration_s / slot_s gives {duration_s / slot_s:.7g} slots, "
+                         f"more than the bound of {MAX_SLOTS:,}")
     n_slots = round(duration_s / slot_s)
     if abs(n_slots * slot_s - duration_s) > 1e-9:
         raise ValueError("slot_s must divide duration_s")
@@ -207,10 +214,12 @@ class _SlotEngine:
             NodeRef.satellite(sid) for sid in self.constellation.sat_ids
         ]
 
-    def route_slots(self, times: Sequence[float]) -> Iterator[list[Route | None]]:
+    def route_slots(self, times: Sequence[float], between_blocks: Callable | None = None
+                    ) -> Iterator[list[Route | None]]:
         """Each query's route at each of the ascending times, one list per
         time; the times of one topology.candidate_blocks block share one
-        candidate set and layout."""
+        candidate set and layout. between_blocks, if given, is called
+        after each block."""
         for candidates, block in candidate_blocks(self.constellation, self.stations, times,
                                                   self.params, self.budgets):
             graph, link_of = self._layout(candidates)
@@ -229,6 +238,8 @@ class _SlotEngine:
                 yield routes
             # Let this block go before the next one is built.
             candidates = graph = link_of = None
+            if between_blocks is not None:
+                between_blocks()
 
     def _layout(self, candidates: LinkCandidates) -> tuple[csr_matrix, np.ndarray]:
         """The block's graph, its data still unset, and for each entry the
@@ -263,10 +274,12 @@ def _route_block(
     params: TopologyParams,
     scenarios: Sequence[Scenario],
     constants: PhysicalConstants,
+    between_blocks: Callable | None,
     times: Sequence[float],
 ) -> list[list[Route | None]]:
-    """Each scenario's route at each of the ascending times, one list per time."""
-    return list(_SlotEngine(cfg, params, scenarios, constants).route_slots(times))
+    """Each scenario's route at each of the ascending times, one list per
+    time; between_blocks, if not None, is called after each candidate block."""
+    return list(_SlotEngine(cfg, params, scenarios, constants).route_slots(times, between_blocks))
 
 
 def usable_cores() -> int:
@@ -293,7 +306,8 @@ def run_scenarios(
     The slots are cut into P = max(1, min(workers, usable_cores(),
     n_slots // 2)) contiguous chunks: workers counts this process. It routes
     the first chunk while a pool of P - 1 processes routes the rest, merged
-    back in slot order. A station label may name only one point.
+    back in slot order; it checks the pool for a failure after each of its
+    blocks. A station label may name only one point.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -305,16 +319,24 @@ def run_scenarios(
         procs = max(1, min(workers, usable_cores(), n_slots // 2))
         bounds = [(n_slots * w) // procs for w in range(procs + 1)]
         chunks = [times[bounds[w]:bounds[w + 1]] for w in range(procs)]
-        route = functools.partial(_route_block, cfg, params, scenarios, constants)
+        args = (cfg, params, scenarios, constants)
         if procs == 1:
-            per_slot = route(chunks[0])
+            per_slot = _route_block(*args, None, chunks[0])
         else:
-            # Fork the pool first, so it does not inherit this process's routing memory.
+            # Load the routing kernel before the fork, so that the pool
+            # inherits it, and fork before this process holds any routing memory.
+            importlib.import_module("scipy.sparse.csgraph")
             with ProcessPoolExecutor(max_workers=procs - 1) as pool:
-                parts = pool.map(route, chunks[1:])
-                per_slot = route(chunks[0])
+                parts = [pool.submit(_route_block, *args, None, chunk) for chunk in chunks[1:]]
+
+                def raise_first_failure() -> None:
+                    for part in parts:
+                        if part.done() and part.exception() is not None:
+                            raise part.exception()
+
+                per_slot = _route_block(*args, raise_first_failure, chunks[0])
                 for part in parts:
-                    per_slot.extend(part)
+                    per_slot.extend(part.result())
     per_scenario = [[slot[q] for slot in per_slot] for q in range(len(scenarios))]
     return [(routes, summarize(sc, routes, constants))
             for sc, routes in zip(scenarios, per_scenario)]

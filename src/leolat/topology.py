@@ -9,8 +9,9 @@ LinkCandidates holds every link that can exist at some instant of a block
 of time [t0, t0 + span]. Satellites move at most v = a * n (about 7.59
 km/s at 550 km), so a pair's separation changes by at most 2 * v * span,
 and a station-satellite range by at most (v + omega_E * R_E) * span. The
-KD-tree pair search therefore runs once per block, with the range widened
-by the first bound. On one shell the elevation angle falls monotonically
+pair search (Constellation.pairs_within, which reads the pairs off the
+Walker grid) therefore runs once per block, with the range widened by the
+first bound. On one shell the elevation angle falls monotonically
 with slant range, sin el = (r^2 - R^2 - d^2) / (2 R d), so each station
 keeps the cone of satellites within the slant range of its mask widened by
 the second bound; route budgets may prune both (see LinkCandidates). Each
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .constellation import Constellation
 from .geo import (
@@ -60,8 +60,8 @@ from .geo import (
 )
 
 # Relative width of the band around the tangent chord whose pairs get the
-# exact line-of-sight test. The KD-tree searches this much past the reach
-# as well, so that no pair it rounds differently from pair_lengths is lost.
+# exact line-of-sight test. The pair search reaches this much further as
+# well, so that no pair it rounds differently from pair_lengths is lost.
 _CHORD_MARGIN = 1e-9
 # Relative slack on the slant range of the elevation mask: a range is off
 # by ~1e-12 relative, so no satellite at or above the mask leaves the cone.
@@ -257,10 +257,10 @@ class LinkCandidates:
         for a, b, budget_km in budgets:
             self.kept |= ranges[a] + ranges[b] <= budget_km * (1.0 + _CONE_MARGIN) + 2.0 * drift
         self.pruned = not self.kept.all()
-        sats = np.flatnonzero(self.kept)
-        pairs = sats[cKDTree(self._xyz0[sats]).query_pairs(
-            r=self.reach * (1.0 + _CHORD_MARGIN) + 2.0 * constellation.speed_km_s * span_s,
-            output_type="ndarray")]
+        pairs = constellation.pairs_within(
+            t0, self._xyz0,
+            self.reach * (1.0 + _CHORD_MARGIN) + 2.0 * constellation.speed_km_s * span_s,
+            self.kept)
 
         cone_km = mask_slant_km(constellation, params.min_elevation_deg) * (1.0 + _CONE_MARGIN)
         cones = [np.flatnonzero((r <= cone_km + drift) & self.kept) for r in ranges]

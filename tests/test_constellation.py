@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parse_sat_id
 from leolat.constellation import Constellation, ConstellationConfig, format_sat_id
@@ -150,3 +152,45 @@ def test_mean_speed_matches_circular_orbit_formula(default_constellation):
     assert default_constellation.speed_km_s == pytest.approx(math.sqrt(CONSTANTS.mu_earth / A),
                                                              rel=1e-12)
     assert math.sqrt(CONSTANTS.mu_earth / A) == pytest.approx(7.585, abs=0.01)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pairs_within_match_all_pairs_norms_on_random_walker_shells(data):
+    planes = data.draw(st.integers(1, 12), label="planes")
+    cfg = ConstellationConfig(
+        num_planes=planes,
+        sats_per_plane=data.draw(st.integers(1, 20), label="sats_per_plane"),
+        altitude_km=data.draw(st.floats(300.0, 1500.0), label="altitude"),
+        inclination_deg=data.draw(st.sampled_from([0.0, 90.0, 180.0]) | st.floats(0.0, 180.0),
+                                  label="inclination"),
+        raan0_deg=data.draw(st.floats(-400.0, 400.0), label="raan0"),
+        phase_factor=data.draw(st.integers(0, planes - 1), label="phase_factor"),
+        epoch=data.draw(st.floats(0.0, 1000.0), label="epoch"),
+    )
+    shell = Constellation(cfg)
+    n = len(shell)
+    t = cfg.epoch + data.draw(st.floats(0.0, 6000.0), label="t - epoch")
+    xyz = shell.positions_at(t)
+    kept = np.array(data.draw(st.just([True] * n) | st.lists(st.booleans(), min_size=n,
+                                                               max_size=n), label="kept"))
+    norms = np.linalg.norm(xyz[:, None] - xyz[None], axis=2)
+    if n > 1 and data.draw(st.booleans(), label="tie"):
+        # The chord is one pair's own length, so that pair lies at the reach.
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]),
+                         label="pair at the reach")
+        chord = float(norms[i, j])
+    else:
+        chord = data.draw(st.floats(0.0, 1.1 * 2.0 * shell.radius_km), label="chord")
+
+    pairs = shell.pairs_within(t, xyz, chord, kept)
+    i, j = pairs.T
+    assert (i < j).all() and kept[i].all() and kept[j].all()
+    found = set(zip(i.tolist(), j.tolist()))
+    assert len(found) == len(pairs), "a pair repeats"
+    within = np.triu((norms <= chord) & kept[:, None] & kept[None, :], 1)
+    assert set(zip(*(k.tolist() for k in np.nonzero(within)))) <= found
+    # u.v carries a few rounding errors, which near u.v = 1 amount to under
+    # a metre: the search does not tell such close satellites from
+    # coincident ones, as on an equatorial shell.
+    assert (norms[i, j] <= chord * (1.0 + 1e-6) + 1e-3).all()

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+from concurrent.futures import Future
 
 import networkx as nx
 import pytest
@@ -168,6 +169,17 @@ class TestRunScenario:
             run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(),
                           duration_s=10, slot_s=3)
 
+    def test_horizon_beyond_the_slot_bound_rejected(self, default_cfg, monkeypatch):
+        def routed(*args, **kwargs):
+            raise AssertionError("routed")
+
+        monkeypatch.setattr(experiment, "_route_block", routed)
+        for horizon in ({"duration_s": 3600, "slot_s": 1e-300},
+                        {"duration_s": experiment.MAX_SLOTS + 1}):
+            with pytest.raises(ValueError, match="more than the bound of 1,000,000"):
+                run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(), **horizon)
+        assert experiment.slot_count(experiment.MAX_SLOTS, 1) == experiment.MAX_SLOTS
+
     @pytest.mark.parametrize("horizon", [{"duration_s": True}, {"slot_s": True},
                                          {"slot_s": "1"}, {"duration_s": None}],
                              ids=["bool-duration", "bool-slot", "string-slot", "none-duration"])
@@ -221,9 +233,9 @@ class TestRunScenario:
                               workers=workers)
 
     def test_pool_never_larger_than_the_core_count(self, default_cfg, monkeypatch, two_cores):
-        # The pool runs inline, so no process starts. On 2 usable cores, 8
-        # workers cut 2 chunks: a pool of one process routes the second and
-        # this process the first.
+        # The pool runs each task inline when it is submitted, so no process
+        # starts. On 2 usable cores, 8 workers cut 2 chunks: a pool of one
+        # process routes the second and this process the first.
         pools, routed = [], []
 
         class InlinePool:
@@ -238,10 +250,11 @@ class TestRunScenario:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                for args in zip(*iterables):
-                    self.tasks.append(args[0][0])
-                    yield fn(*args)
+            def submit(self, fn, *args):
+                self.tasks.append(args[-1][0])
+                done = Future()
+                done.set_result(fn(*args))
+                return done
 
         def spy(*args):
             routed.append(args[-1][0])
@@ -252,7 +265,7 @@ class TestRunScenario:
         scenarios = builtin_scenarios()
         eight = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=16, workers=8)
         assert [(p.max_workers, p.tasks) for p in pools] == [(1, [8])]
-        assert routed == [0, 8]
+        assert routed == [8, 0]
         one = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=16, workers=1)
         assert len(pools) == 1
         assert eight == one

@@ -243,6 +243,36 @@ def test_cli_import_leaves_csgraph_unloaded():
     assert done.returncode == 0, done.stderr or "leolat.cli imported scipy.sparse.csgraph"
 
 
+def test_runs_leave_scipy_spatial_out_and_fork_after_the_kernel_loads(tmp_path):
+    # A pool forked before csgraph is loaded would load it in every child.
+    # With 2 usable cores, each --workers 2 routing call starts one pool of
+    # one process: one for run, one per range for sweep-range.
+    code = """if True:
+        import sys
+        from concurrent.futures import ProcessPoolExecutor
+        from leolat import experiment
+        from leolat.cli import main
+
+        pools = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(("scipy.sparse.csgraph" in sys.modules, max_workers))
+                super().__init__(max_workers)
+
+        experiment.usable_cores = lambda: 2
+        experiment.ProcessPoolExecutor = Pool
+        for argv in (["run"], ["sweep-range", "--ranges", "1000,6000"]):
+            assert main([*argv, "--duration", "4", "--workers", "2", "--out", sys.argv[1]]) == 0
+        assert "scipy.spatial" not in sys.modules, "a run loaded scipy.spatial"
+        assert pools == [(True, 1)] * 3, pools
+    """
+    src = str(Path(leolat.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_package_root_loads_no_numpy():
     # The package root holds only __version__; each name is imported from
     # the module that defines it.
