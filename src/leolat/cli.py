@@ -39,16 +39,19 @@ from .experiment import (
 )
 
 import argparse
+import atexit
 import csv
 import dataclasses
 import functools
+import gc
 import io
 import json
 import logging
+import math
 import re
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,12 +138,30 @@ def _from_mapping(cls, what: str, mapping, **readers):
     try:
         return cls(**{k: readers[k](v) if k in readers else v for k, v in mapping.items()})
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid {what}: {exc}") from exc
+        raise CliError(f"invalid {what}: {exc}{_string_number_hint(mapping, exc)}") from exc
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that rejects a key repeated within one mapping, where
-    PyYAML would keep the last value silently."""
+def _string_number_hint(mapping: dict, exc: Exception) -> str:
+    """Why a value the error calls not a number may be one: YAML 1.1 reads
+    a float only with a dot and a signed exponent, so 1.0e300 and 5e3 load
+    as strings. Empty unless the error names such a string of the mapping
+    that reads as a finite number."""
+    for value in mapping.values():
+        if isinstance(value, str) and f"must be a number, got {value!r}" in str(exc):
+            try:
+                number = float(value)
+            except ValueError:
+                continue
+            if math.isfinite(number):
+                # PyYAML writes a float as YAML 1.1 reads it back, e.g. 1.0e+300.
+                return f" (YAML reads it as a string; write {yaml.safe_dump(number).split()[0]})"
+    return ""
+
+
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """SafeLoader (libyaml's, where PyYAML was built with it) that rejects
+    a key repeated within one mapping, where PyYAML would keep the last
+    value silently."""
 
     def construct_unique_map(self, node):
         seen = set()
@@ -441,6 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Freeze the heap at interpreter exit, after every file is closed, so
+    # that teardown leaves the ~43,000 objects numpy and scipy made at import
+    # to the OS instead of collecting them, which takes longer than a short
+    # command routes. Registered once per process; an in-process caller
+    # keeps collecting while it lives.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
@@ -459,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "export-geojson":
             return cmd_export_geojson(cfg, args.scenario, args.slot)
         raise CliError(f"unhandled command {args.command!r}")  # pragma: no cover
-    except (CliError, ValueError, BrokenProcessPool) as exc:
+    except (CliError, ValueError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

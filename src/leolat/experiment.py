@@ -16,7 +16,7 @@ import importlib
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -326,7 +326,8 @@ def run_scenarios(
             # Load the routing kernel before the fork, so that the pool
             # inherits it, and fork before this process holds any routing memory.
             importlib.import_module("scipy.sparse.csgraph")
-            with ProcessPoolExecutor(max_workers=procs - 1) as pool:
+            # Read through the module: see __getattr__.
+            with sys.modules[__name__].ProcessPoolExecutor(max_workers=procs - 1) as pool:
                 parts = [pool.submit(_route_block, *args, None, chunk) for chunk in chunks[1:]]
 
                 def raise_first_failure() -> None:
@@ -340,6 +341,19 @@ def run_scenarios(
     per_scenario = [[slot[q] for slot in per_slot] for q in range(len(scenarios))]
     return [(routes, summarize(sc, routes, constants))
             for sc, routes in zip(scenarios, per_scenario)]
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported on first access: it loads 12 modules
+    of multiprocessing (about 0.5 MB), which a run in one process never
+    uses. run_scenarios reads it through the module, so it can be patched
+    there."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def chord_bound_ms(

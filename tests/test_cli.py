@@ -5,9 +5,15 @@ import json
 import logging
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
+import leolat
 from leolat import cli, experiment
 from leolat.cli import CliError, RunConfig, load_config, main, round4, slugify
 from leolat.constellation import Constellation, ConstellationConfig
@@ -672,6 +678,42 @@ class TestConfigLoading:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "yaml_text,message",
+        [
+            ("constants: {mu_earth: 1.0e300}\n",
+             "mu_earth must be a number, got '1.0e300' (YAML reads it as a string; write 1.0e+300)"),
+            ("duration_s: 5e3\n",
+             "duration_s must be a number, got '5e3' (YAML reads it as a string; write 5000.0)"),
+            ("scenarios:\n  - name: A-B\n"
+             "    src: {latitude_deg: 1e1, longitude_deg: 20.0, label: a}\n"
+             "    dst: {latitude_deg: 20.0, longitude_deg: 30.0, label: b}\n",
+             "latitude_deg must be a number, got '1e1' (YAML reads it as a string; write 10.0)"),
+        ],
+        ids=["unsigned-exponent", "no-dot", "scenario-station"],
+    )
+    def test_number_read_as_a_string_gets_a_hint(self, tmp_path, capsys, yaml_text, message):
+        # YAML 1.1 reads a float only with a dot and a signed exponent.
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml_text)
+        with pytest.raises(CliError, match=re.escape(message)):
+            load_config(p)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "'-inf'"])
+    def test_string_that_is_no_finite_number_gets_no_hint(self, tmp_path, value):
+        p = tmp_path / "bad.yaml"
+        p.write_text(f"duration_s: {value}\n")
+        with pytest.raises(CliError, match="duration_s must be a number") as raised:
+            load_config(p)
+        assert "YAML reads" not in str(raised.value)
+
+    def test_config_parser_is_libyaml_where_pyyaml_has_it(self):
+        base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert issubclass(cli._UniqueKeyLoader, base)
+
+    @pytest.mark.parametrize(
         "args,yaml_text,where",
         [
             (["--duration", "0"], "", "duration_s"),
@@ -829,3 +871,66 @@ class TestWriteFailure:
         assert "cannot write" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["summary.json"]
         assert (out / "summary.json").is_dir()
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this source tree, its output captured."""
+    src = str(Path(leolat.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
+class TestProcess:
+    """A command as its own process: what it loads, and how it ends."""
+
+    def test_run_writes_what_main_writes_and_exits_after_its_log(self, tmp_path):
+        proc, inproc = tmp_path / "process", tmp_path / "main"
+        done = python("-m", "leolat", "run", "--duration", "4", "--out", str(proc))
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-1].startswith(f"INFO run complete: 4 files in {proc}")
+        assert main(["run", "--duration", "4", "--out", str(inproc)]) == 0
+        names = sorted(p.name for p in proc.iterdir())
+        assert names == sorted(p.name for p in inproc.iterdir())
+        for name in names:
+            assert (proc / name).read_bytes() == (inproc / name).read_bytes()
+
+    def test_sweep_range_prints_its_output_path(self, tmp_path):
+        done = python("-m", "leolat", "sweep-range", "--duration", "2", "--ranges", "1500",
+                      "--out", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{tmp_path / 'sweep_range.csv'}\n"
+
+    def test_one_process_never_loads_the_pool(self, tmp_path):
+        code = """if True:
+            import sys
+            import leolat.cli
+            pool = {"multiprocessing", "concurrent.futures.process"}
+            assert not pool & set(sys.modules), "import leolat.cli"
+            assert leolat.cli.main(["run", "--duration", "2", "--workers", "1",
+                                    "--out", sys.argv[1]]) == 0
+            assert not pool & set(sys.modules), "a run in one process"
+        """
+        done = python("-c", code, str(tmp_path))
+        assert done.returncode == 0, done.stderr
+
+    def test_heap_freezes_once_at_exit_and_never_in_main(self):
+        # A handler registered before main runs after the ones main registers.
+        code = """if True:
+            import atexit, gc
+            from leolat.cli import main
+
+            freeze, calls = gc.freeze, []
+
+            def counted():
+                calls.append(None)
+                freeze()
+
+            gc.freeze = counted
+            atexit.register(lambda: print("at exit:", len(calls), gc.get_freeze_count() > 0))
+            for _ in range(2):
+                assert main(["distances"]) == 0
+            print("after main:", len(calls), gc.get_freeze_count() > 0)
+        """
+        done = python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-2:] == ["after main: 0 False", "at exit: 1 True"]
