@@ -15,28 +15,10 @@ from __future__ import annotations
 
 # numpy and scipy load before the stdlib and yaml: the reverse order starts ~20 ms slower.
 from . import __version__
-from .geo import (
-    CONSTANTS,
-    GeodeticPoint,
-    PhysicalConstants,
-    check_fields,
-    great_circle_distance,
-    inertial_to_geodetic,
-)
+from .geo import GeodeticPoint, PhysicalConstants, great_circle_distance, inertial_to_geodetic
 from .constellation import ConstellationConfig
 from .topology import TopologyParams
-from .experiment import (
-    REPRODUCTION_MIN_ELEVATION_DEG,
-    REPRODUCTION_PHASE_FACTOR,
-    Scenario,
-    _SlotEngine,
-    builtin_scenarios,
-    check_station_labels,
-    compare,
-    oftn_latency,
-    run_scenarios,
-    slot_count,
-)
+from .experiment import Run, Scenario, _SlotEngine, compare, oftn_latency, run_scenarios
 
 import argparse
 import atexit
@@ -77,22 +59,15 @@ def slugify(name: str) -> str:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """A run; the defaults are the reproduction setup, with calibrated
-    phasing and elevation mask."""
+class RunConfig(Run):
+    """A Run of the CLI, and where its outputs go."""
 
-    constellation: ConstellationConfig = ConstellationConfig(phase_factor=REPRODUCTION_PHASE_FACTOR)
-    topology: TopologyParams = TopologyParams(min_elevation_deg=REPRODUCTION_MIN_ELEVATION_DEG)
-    constants: PhysicalConstants = CONSTANTS
-    scenarios: tuple[Scenario, ...] = tuple(builtin_scenarios())
-    duration_s: float = 3600
-    slot_s: float = 1
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
-        check_fields(self)
-        if slot_count(self.duration_s, self.slot_s) == 0:
+        super().__post_init__()
+        if self.n_slots == 0:
             raise ValueError(f"duration_s must cover at least one slot, got {self.duration_s}")
         stems = [slugify(s.name) for s in self.scenarios]
         unnamed = [s.name for s, stem in zip(self.scenarios, stems) if not stem]
@@ -100,7 +75,6 @@ class RunConfig:
             raise ValueError(f"scenario names need a letter or digit to name files: {unnamed}")
         if len(set(stems)) != len(stems):
             raise ValueError("scenario names collide after slugification; rename them")
-        check_station_labels(self.scenarios)
         # The path column joins node labels with "|": a station label must
         # neither contain it nor read as a satellite of the shell.
         sat_ids = set(self.constellation.sat_ids)
@@ -117,10 +91,6 @@ class RunConfig:
         unknown = set(self.formats) - {"csv", "json"}
         if unknown:
             raise ValueError(f"unknown output formats: {sorted(unknown)}")
-
-    @property
-    def n_slots(self) -> int:
-        return slot_count(self.duration_s, self.slot_s)
 
 
 # -- config file ---------------------------------------------------------------
@@ -252,13 +222,6 @@ def _summary_record(summary) -> dict:
     }
 
 
-def _config_record(cfg: RunConfig) -> dict:
-    """The run's config as load_config reads it, less out_dir."""
-    rec = dataclasses.asdict(cfg)
-    del rec["out_dir"]
-    return rec
-
-
 def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -292,12 +255,6 @@ def _write_artifacts(out_dir: Path, files: dict[str, str]) -> list[Path]:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _route(cfg: RunConfig, params: TopologyParams, workers: int):
-    """run_scenarios over the run's scenarios, shell and horizon."""
-    return run_scenarios(cfg.scenarios, cfg.constellation, params, duration_s=cfg.duration_s,
-                         slot_s=cfg.slot_s, workers=workers, constants=cfg.constants)
-
-
 def cmd_run(cfg: RunConfig, workers: int) -> int:
     # summary.json compares each hour average with the rounded baseline.
     flat = [s.name for s in cfg.scenarios if round4(oftn_latency(great_circle_distance(
@@ -307,7 +264,7 @@ def cmd_run(cfg: RunConfig, workers: int) -> int:
     out_dir = Path(cfg.out_dir)
     t0 = time.perf_counter()
 
-    runs = _route(cfg, cfg.topology, workers)
+    runs = run_scenarios(cfg, workers)
     for scenario, (_, summary) in zip(cfg.scenarios, runs):
         log.info("%s: %d slots, %d unreachable",
                  scenario.name, summary.slots, summary.unreachable_slots)
@@ -323,7 +280,8 @@ def cmd_run(cfg: RunConfig, workers: int) -> int:
     if "json" in cfg.formats:
         files["summary.json"] = _json_text({
             "version": __version__,
-            "config": _config_record(cfg),
+            # The config as load_config reads it, less out_dir.
+            "config": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "out_dir"},
             "scenarios": [_summary_record(s) for _, s in runs],
         })
     written = _write_artifacts(out_dir, files)
@@ -344,18 +302,19 @@ def cmd_sweep_range(cfg: RunConfig, ranges: list[float], workers: int) -> int:
         raise CliError("at least one LISL range is required")
     # Every range is checked before any is routed. Each is written as the
     # shortest text that reads back as it, so distinct ranges never share a label.
-    variants = [dataclasses.replace(cfg.topology, lisl_range_km=r) for r in ranges]
+    variants = [dataclasses.replace(
+        cfg, topology=dataclasses.replace(cfg.topology, lisl_range_km=r)) for r in ranges]
     km = functools.partial(np.format_float_positional, trim="-")
     if len(set(ranges)) < len(ranges):
         repeated = next(r for r in ranges if ranges.count(r) > 1)
         raise CliError(f"--ranges repeats {km(repeated)} km")
     rows = []
-    for params in variants:
-        runs = _route(cfg, params, workers)
-        for scenario, (_, summary) in zip(cfg.scenarios, runs):
+    for run in variants:
+        lisl_range = km(run.topology.lisl_range_km)
+        for scenario, (_, summary) in zip(cfg.scenarios, run_scenarios(run, workers)):
             avg = "" if summary.owsn_avg_latency_ms is None else f"{summary.owsn_avg_latency_ms:.4f}"
-            rows.append([scenario.name, km(params.lisl_range_km), avg, summary.unreachable_slots])
-            log.info("range %s km, %s: avg %s ms, %d unreachable", km(params.lisl_range_km),
+            rows.append([scenario.name, lisl_range, avg, summary.unreachable_slots])
+            log.info("range %s km, %s: avg %s ms, %d unreachable", lisl_range,
                      scenario.name, avg or "n/a", summary.unreachable_slots)
     (path,) = _write_artifacts(Path(cfg.out_dir), {"sweep_range.csv": _csv_text(
         ["scenario", "lisl_range_km", "avg_latency_ms", "unreachable_slots"], rows)})
@@ -373,7 +332,7 @@ def cmd_export_geojson(cfg: RunConfig, scenario_name: str, slot: int) -> int:
     scenario = matches[0]
     t = (slot - 1) * cfg.slot_s
 
-    engine = _SlotEngine(cfg.constellation, cfg.topology, [scenario], cfg.constants)
+    engine = _SlotEngine(dataclasses.replace(cfg, scenarios=(scenario,)))
     (route,) = next(engine.route_slots([t]))
     if route is None:
         raise CliError(f"scenario {scenario.name!r} has no route at slot {slot}")

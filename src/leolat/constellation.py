@@ -138,6 +138,7 @@ class Constellation:
         and all of them when c <= -rho.
         """
         cfg, per_plane = self.cfg, self.cfg.sats_per_plane
+        chord_km = min(chord_km, 2.0 * self.radius_km)  # no pair is farther apart
         # A slack of a few rounding errors in u.v, so that a pair at the
         # chord stays even where arccos is steepest, at 0 and at pi.
         c = 1.0 - chord_km**2 / (2.0 * self.radius_km**2) - 4e-15

@@ -28,6 +28,7 @@ from .geo import (
     CONSTANTS,
     GeodeticPoint,
     PhysicalConstants,
+    check_fields,
     check_number,
     great_circle_distance,
 )
@@ -168,6 +169,43 @@ def slot_count(duration_s: float, slot_s: float) -> int:
     return n_slots
 
 
+@dataclass(frozen=True)
+class Run:
+    """A run: shell, link rules, constants, city pairs and horizon; the
+    defaults are the reproduction setup, with calibrated phasing and mask."""
+
+    constellation: ConstellationConfig = ConstellationConfig(phase_factor=REPRODUCTION_PHASE_FACTOR)
+    topology: TopologyParams = TopologyParams(min_elevation_deg=REPRODUCTION_MIN_ELEVATION_DEG)
+    constants: PhysicalConstants = CONSTANTS
+    scenarios: tuple[Scenario, ...] = tuple(builtin_scenarios())
+    duration_s: float = 3600
+    slot_s: float = 1
+
+    def __post_init__(self):
+        check_fields(self)
+        t_end = max(slot_count(self.duration_s, self.slot_s) - 1, 0) * self.slot_s
+        check_station_labels(self.scenarios)
+        # Constellation's orbit, checked without building the shell (r * r * r
+        # overflows to inf where Constellation's r**3 raises), and the angles
+        # it and the Earth turn through by the last slot: np.cos(inf) is nan.
+        shell, constants = self.constellation, self.constants
+        r = constants.earth_radius_km + shell.altitude_km
+        cube = r * r * r
+        if not (0.0 < cube < math.inf and 0.0 < constants.mu_earth / cube < math.inf):
+            raise ValueError(f"altitude_km {shell.altitude_km}, earth_radius_km "
+                             f"{constants.earth_radius_km} and mu_earth {constants.mu_earth} "
+                             "give no finite circular orbit")
+        if not (math.sqrt(constants.mu_earth / cube) * (abs(shell.epoch) + abs(t_end - shell.epoch))
+                + abs(constants.earth_rotation_rate) * t_end < math.inf):
+            raise ValueError(f"the shell (epoch {shell.epoch:g}) or the Earth (earth_rotation_rate "
+                             f"{constants.earth_rotation_rate:g}) turns through no finite angle "
+                             f"by the last slot of duration_s {self.duration_s:g}")
+
+    @property
+    def n_slots(self) -> int:
+        return slot_count(self.duration_s, self.slot_s)
+
+
 class _SlotEngine:
     """Routes every scenario of a run over one graph per slot.
 
@@ -191,25 +229,19 @@ class _SlotEngine:
     budgets never change a route (see topology.LinkCandidates).
     """
 
-    def __init__(
-        self,
-        cfg: ConstellationConfig,
-        params: TopologyParams,
-        scenarios: Sequence[Scenario],
-        constants: PhysicalConstants,
-    ):
-        self.constellation = Constellation(cfg, constants)
-        self.params = params
+    def __init__(self, run: Run):
+        self.constellation = Constellation(run.constellation, run.constants)
+        self.params = run.topology
         row: dict[GeodeticPoint, int] = {}
-        for sc in scenarios:
+        for sc in run.scenarios:
             row.setdefault(sc.src, len(row))
             row.setdefault(sc.dst, len(row))
         self.stations = list(row)
-        self.queries = [(row[sc.src], row[sc.dst]) for sc in scenarios]
+        self.queries = [(row[sc.src], row[sc.dst]) for sc in run.scenarios]
         self.targets = sorted({dst for _, dst in self.queries})
-        self.budgets = [(src, dst, route_budget_km(self.constellation, sc.src, sc.dst, params))
-                        for (src, dst), sc in zip(self.queries, scenarios)]
-        self.budgets_s = [link_latencies(km, constants.c_vacuum) for _, _, km in self.budgets]
+        self.budgets = [(src, dst, route_budget_km(self.constellation, sc.src, sc.dst, self.params))
+                        for (src, dst), sc in zip(self.queries, run.scenarios)]
+        self.budgets_s = [link_latencies(km, run.constants.c_vacuum) for _, _, km in self.budgets]
         self.nodes = [NodeRef.ground(s.label) for s in self.stations] + [
             NodeRef.satellite(sid) for sid in self.constellation.sat_ids
         ]
@@ -269,17 +301,11 @@ class _SlotEngine:
                 for src, dst in self.queries]
 
 
-def _route_block(
-    cfg: ConstellationConfig,
-    params: TopologyParams,
-    scenarios: Sequence[Scenario],
-    constants: PhysicalConstants,
-    between_blocks: Callable | None,
-    times: Sequence[float],
-) -> list[list[Route | None]]:
+def _route_block(run: Run, between_blocks: Callable | None, times: Sequence[float]
+                 ) -> list[list[Route | None]]:
     """Each scenario's route at each of the ascending times, one list per
     time; between_blocks, if not None, is called after each candidate block."""
-    return list(_SlotEngine(cfg, params, scenarios, constants).route_slots(times, between_blocks))
+    return list(_SlotEngine(run).route_slots(times, between_blocks))
 
 
 def usable_cores() -> int:
@@ -289,58 +315,47 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def run_scenarios(
-    scenarios: Sequence[Scenario],
-    cfg: ConstellationConfig,
-    params: TopologyParams,
-    duration_s: float = 3600,
-    slot_s: float = 1,
-    workers: int = 1,
-    constants: PhysicalConstants = CONSTANTS,
-) -> list[tuple[list[Route | None], ScenarioSummary]]:
+def run_scenarios(run: Run, workers: int = 1) -> list[tuple[list[Route | None], ScenarioSummary]]:
     """Each scenario's route per slot (None where it has none) and its
     summary, in scenario order; slot k (1-based) is at index k-1.
 
-    Slot k is evaluated at t = (k-1)*slot_s seconds past epoch; slot_s must
-    divide duration_s. Each slot's graph is built once for all scenarios.
-    The slots are cut into P = max(1, min(workers, usable_cores(),
-    n_slots // 2)) contiguous chunks: workers counts this process. It routes
-    the first chunk while a pool of P - 1 processes routes the rest, merged
-    back in slot order; it checks the pool for a failure after each of its
-    blocks. A station label may name only one point.
+    Slot k is evaluated at t = (k-1)*slot_s seconds past epoch. Each slot's
+    graph is built once for all scenarios. The slots are cut into P =
+    max(1, min(workers, usable_cores(), n_slots // 2)) contiguous chunks:
+    workers counts this process. It routes the first chunk while a pool of
+    P - 1 processes routes the rest, merged back in slot order; it checks
+    the pool for a failure after each of its blocks.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    check_station_labels(scenarios)
-    n_slots = slot_count(duration_s, slot_s)
-    times = [(k - 1) * slot_s for k in range(1, n_slots + 1)]
+    n_slots = run.n_slots
+    times = [(k - 1) * run.slot_s for k in range(1, n_slots + 1)]
     per_slot: list[list[Route | None]] = []
-    if n_slots and scenarios:
+    if n_slots and run.scenarios:
         procs = max(1, min(workers, usable_cores(), n_slots // 2))
         bounds = [(n_slots * w) // procs for w in range(procs + 1)]
         chunks = [times[bounds[w]:bounds[w + 1]] for w in range(procs)]
-        args = (cfg, params, scenarios, constants)
         if procs == 1:
-            per_slot = _route_block(*args, None, chunks[0])
+            per_slot = _route_block(run, None, chunks[0])
         else:
             # Load the routing kernel before the fork, so that the pool
             # inherits it, and fork before this process holds any routing memory.
             importlib.import_module("scipy.sparse.csgraph")
             # Read through the module: see __getattr__.
             with sys.modules[__name__].ProcessPoolExecutor(max_workers=procs - 1) as pool:
-                parts = [pool.submit(_route_block, *args, None, chunk) for chunk in chunks[1:]]
+                parts = [pool.submit(_route_block, run, None, chunk) for chunk in chunks[1:]]
 
                 def raise_first_failure() -> None:
                     for part in parts:
                         if part.done() and part.exception() is not None:
                             raise part.exception()
 
-                per_slot = _route_block(*args, raise_first_failure, chunks[0])
+                per_slot = _route_block(run, raise_first_failure, chunks[0])
                 for part in parts:
                     per_slot.extend(part.result())
-    per_scenario = [[slot[q] for slot in per_slot] for q in range(len(scenarios))]
-    return [(routes, summarize(sc, routes, constants))
-            for sc, routes in zip(scenarios, per_scenario)]
+    per_scenario = [[slot[q] for slot in per_slot] for q in range(len(run.scenarios))]
+    return [(routes, summarize(sc, routes, run.constants))
+            for sc, routes in zip(run.scenarios, per_scenario)]
 
 
 def __getattr__(name: str):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ def check_number(name: str, value) -> None:
     number. Neither a bool nor a string passes for a number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # exact for any int
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -60,6 +61,12 @@ class PhysicalConstants:
         for name in ("c_vacuum", "fiber_refractive_index", "earth_radius_km", "mu_earth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        # Latencies divide by the speeds, and positions on the Earth are
+        # normalised through their squares.
+        if min(self.c_vacuum, self.c_fiber) < 1.0:
+            raise ValueError("c_vacuum and c_vacuum / fiber_refractive_index must be >= 1 m/s")
+        if self.earth_radius_km * self.earth_radius_km < sys.float_info.min:
+            raise ValueError(f"earth_radius_km {self.earth_radius_km} squared underflows")
 
     @property
     def c_fiber(self) -> float:

@@ -41,6 +41,7 @@ from leolat.constellation import ConstellationConfig
 from leolat.experiment import (
     REPRODUCTION_MIN_ELEVATION_DEG,
     REPRODUCTION_PHASE_FACTOR,
+    Run,
     builtin_scenarios,
     chord_bound_ms,
     compare,
@@ -69,8 +70,8 @@ def _hour_sweep(phase_factor: int, min_elevation_deg: float):
     cfg = ConstellationConfig(phase_factor=phase_factor)
     params = TopologyParams(min_elevation_deg=min_elevation_deg)
     t0 = time.perf_counter()
-    scenarios = builtin_scenarios()
-    runs = run_scenarios(scenarios, cfg, params, duration_s=3600, slot_s=1)
+    scenarios = tuple(builtin_scenarios())
+    runs = run_scenarios(Run(cfg, params, scenarios=scenarios, duration_s=3600, slot_s=1))
     out = {scenario.name: (scenario, routes, summary)
            for scenario, (routes, summary) in zip(scenarios, runs)}
     wall = time.perf_counter() - t0

@@ -17,7 +17,7 @@ import leolat
 from leolat import cli, experiment
 from leolat.cli import CliError, RunConfig, load_config, main, round4, slugify
 from leolat.constellation import Constellation, ConstellationConfig
-from leolat.experiment import builtin_scenarios
+from leolat.experiment import Run, builtin_scenarios
 from leolat.geo import GeodeticPoint
 
 ROUTE_BLOCK = experiment._route_block
@@ -205,6 +205,25 @@ class TestRun:
         assert "loop" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_range_past_the_shell_diameter_routes_as_the_diameter(self, tmp_path):
+        # No two satellites of the 550 km shell are farther apart than its
+        # 13,856 km diameter: a 1.0e+300 km range links what 14,000 km does.
+        outs = []
+        for km in ("1.0e+300", "14000.0"):
+            p = tmp_path / f"{km}.yaml"
+            p.write_text(f"topology: {{lisl_range_km: {km}, occlusion_check: false}}\n")
+            outs.append(tmp_path / f"out-{km}")
+            assert main(["run", "--config", str(p), "--out", str(outs[-1]), "--duration", "2"]) == 0
+        far, diameter = outs
+        names = sorted(x.name for x in far.iterdir())
+        assert names == sorted(x.name for x in diameter.iterdir())
+        for name in names:
+            text = (far / name).read_text()
+            if name == "summary.json":
+                assert '"lisl_range_km": 1e+300' in text
+                text = text.replace('"lisl_range_km": 1e+300', '"lisl_range_km": 14000.0')
+            assert text == (diameter / name).read_text(), name
 
     def test_phase_factor_override_recorded_in_config_echo(self, tmp_path):
         out = tmp_path / "pf"
@@ -443,6 +462,15 @@ class TestConfigLoading:
         assert len(cfg.scenarios) == 3
         assert cfg.constellation.total_sats == 1584
 
+    def test_run_config_is_a_run_with_the_run_defaults(self):
+        # experiment.Run owns the run's fields and defaults; RunConfig adds
+        # only where the outputs go.
+        cfg, run = load_config(None), Run()
+        assert isinstance(cfg, Run)
+        for field in dataclasses.fields(Run):
+            assert getattr(cfg, field.name) == getattr(run, field.name), field.name
+        assert "REPRODUCTION_" not in Path(cli.__file__).read_text()
+
     def test_overrides_merge_with_defaults(self, tmp_path):
         p = tmp_path / "cfg.yaml"
         p.write_text(
@@ -676,6 +704,59 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert "finite" in err and where in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "yaml_text,where",
+        [
+            (f"constellation: {{altitude_km: 1{'0' * 400}}}\n", "altitude_km must be finite"),
+            ("constants: {c_vacuum: 5.0e-324, fiber_refractive_index: 2.0}\n", "c_vacuum"),
+            ("constants: {c_vacuum: 1.0e-300, fiber_refractive_index: 1.0e-300}\n", "c_vacuum"),
+            ("constants: {earth_radius_km: 5.0e-324}\n", "earth_radius_km"),
+            ("constants: {earth_rotation_rate: 1.0e+300}\nslot_s: 1.0e+10\n"
+             "duration_s: 2.0e+10\n", "earth_rotation_rate"),
+            ("constants: {mu_earth: 1.0e+300}\nslot_s: 1.0e+300\nduration_s: 2.0e+300\n",
+             "the shell (epoch 0)"),
+        ],
+        ids=["int-past-the-float-range", "fiber-speed-underflows", "latency-overflows",
+             "earth-radius-squared-underflows", "earth-turns-past-the-float-range",
+             "shell-turns-past-the-float-range"],
+    )
+    def test_numbers_the_model_cannot_compute_rejected(self, tmp_path, capsys, yaml_text, where):
+        # Found by tests/test_config_fuzz.py: each ended `run` in a traceback,
+        # or with a warning and NaN positions.
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml_text)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and where in err
+        assert [x.name for x in tmp_path.iterdir()] == ["bad.yaml"]
+
+    @pytest.mark.parametrize(
+        "yaml_text",
+        ["constellation: {altitude_km: 1.0e+300}\n",
+         "constants: {earth_radius_km: 1.0e+200}\n",
+         "constellation: {altitude_km: 1.0e+100}\nconstants: {mu_earth: 1.0e-300}\n"],
+        ids=["radius-cubed-overflows", "earth-radius-cubed-overflows", "no-mean-motion"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["run"], ["export-geojson", "--scenario", "New York-Dublin", "--slot", "1"]],
+        ids=["run", "export-geojson"])
+    def test_orbit_that_is_not_finite_rejected_at_load(self, tmp_path, capsys, monkeypatch,
+                                                       yaml_text, command):
+        # r**3 overflows, or the mean motion sqrt(mu / r**3) is 0: the shell
+        # is rejected before any is built.
+        def built(*args):
+            raise AssertionError("shell built")
+
+        monkeypatch.setattr(Constellation, "__init__", built)
+        p = tmp_path / "orbit.yaml"
+        p.write_text(yaml_text)
+        assert main(command + ["--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(key in err for key in ("altitude_km", "earth_radius_km", "mu_earth"))
+        assert "Traceback" not in err
+        assert [x.name for x in tmp_path.iterdir()] == ["orbit.yaml"]
 
     @pytest.mark.parametrize(
         "yaml_text,message",

@@ -11,6 +11,7 @@ from leolat import experiment, topology
 from leolat.constellation import Constellation, ConstellationConfig
 from leolat.experiment import (
     EXCHANGE_COORDINATES,
+    Run,
     Scenario,
     builtin_scenarios,
     chord_bound_ms,
@@ -19,7 +20,7 @@ from leolat.experiment import (
     run_scenarios,
     summarize,
 )
-from leolat.geo import CONSTANTS, GeodeticPoint, great_circle_distance
+from leolat.geo import GeodeticPoint, great_circle_distance
 from leolat.routing import shortest_path
 from leolat.topology import NodeRef, TopologyParams, build_snapshot
 
@@ -91,9 +92,12 @@ class TestBuiltinScenarios:
 def short_run(default_cfg):
     scenario = builtin_scenarios()[0]
     routes, summary = run_scenarios(
-        [scenario], default_cfg, TopologyParams(), duration_s=30, slot_s=1
+        Run(default_cfg, TopologyParams(), scenarios=(scenario,), duration_s=30, slot_s=1)
     )[0]
     return scenario, routes, summary
+
+
+ONE_PAIR = tuple(builtin_scenarios()[:1])
 
 
 def latency_ms(route):
@@ -158,26 +162,23 @@ class TestRunScenario:
 
     def test_zero_duration(self, default_cfg):
         routes, summary = run_scenarios(
-            builtin_scenarios()[:1], default_cfg, TopologyParams(), duration_s=0
+            Run(default_cfg, TopologyParams(), scenarios=ONE_PAIR, duration_s=0)
         )[0]
         assert routes == []
         assert summary.slots == 0
         assert summary.owsn_avg_latency_ms is None
 
+    # A bad horizon or station label is rejected when the Run is built,
+    # before run_scenarios can route anything.
     def test_slot_must_divide_duration(self, default_cfg):
         with pytest.raises(ValueError):
-            run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(),
-                          duration_s=10, slot_s=3)
+            Run(default_cfg, TopologyParams(), scenarios=ONE_PAIR, duration_s=10, slot_s=3)
 
-    def test_horizon_beyond_the_slot_bound_rejected(self, default_cfg, monkeypatch):
-        def routed(*args, **kwargs):
-            raise AssertionError("routed")
-
-        monkeypatch.setattr(experiment, "_route_block", routed)
+    def test_horizon_beyond_the_slot_bound_rejected(self, default_cfg):
         for horizon in ({"duration_s": 3600, "slot_s": 1e-300},
                         {"duration_s": experiment.MAX_SLOTS + 1}):
             with pytest.raises(ValueError, match="more than the bound of 1,000,000"):
-                run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(), **horizon)
+                Run(default_cfg, TopologyParams(), scenarios=ONE_PAIR, **horizon)
         assert experiment.slot_count(experiment.MAX_SLOTS, 1) == experiment.MAX_SLOTS
 
     @pytest.mark.parametrize("horizon", [{"duration_s": True}, {"slot_s": True},
@@ -187,7 +188,7 @@ class TestRunScenario:
         # True would otherwise route one slot; "1" fail with a TypeError.
         (name,) = horizon
         with pytest.raises(ValueError, match=name):
-            run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(), **horizon)
+            Run(default_cfg, TopologyParams(), scenarios=ONE_PAIR, **horizon)
 
     def test_fully_unreachable_summary(self):
         # A 2x2 shell leaves hemisphere-sized gaps; stations in opposite
@@ -197,16 +198,16 @@ class TestRunScenario:
             "nowhere", GeodeticPoint(-85.0, 10.0, "S85"), GeodeticPoint(85.0, -170.0, "N85")
         )
         results, summary = run_scenarios(
-            [scenario], cfg, TopologyParams(min_elevation_deg=60.0), duration_s=5
+            Run(cfg, TopologyParams(min_elevation_deg=60.0), scenarios=(scenario,), duration_s=5)
         )[0]
         assert summary.unreachable_slots == 5
         assert summary.owsn_avg_latency_ms is None
 
     def test_worker_pool_merges_identically(self, default_cfg, two_cores):
         scenario = builtin_scenarios()[0]
-        seq, _ = run_scenarios([scenario], default_cfg, TopologyParams(), duration_s=8)[0]
-        par, _ = run_scenarios([scenario], default_cfg, TopologyParams(), duration_s=8,
-                               workers=2)[0]
+        run = Run(default_cfg, TopologyParams(), scenarios=(scenario,), duration_s=8)
+        seq, _ = run_scenarios(run)[0]
+        par, _ = run_scenarios(run, workers=2)[0]
         assert len(par) == len(seq)
         assert [latency_ms(r) for r in par] == [latency_ms(r) for r in seq]
         assert [r.labels() for r in par] == [r.labels() for r in seq]
@@ -214,23 +215,16 @@ class TestRunScenario:
     @pytest.mark.parametrize("workers", [0, -3, True, 2.5])
     def test_workers_below_one_rejected(self, default_cfg, workers):
         with pytest.raises(ValueError, match="workers"):
-            run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(),
-                          duration_s=4, workers=workers)
+            run_scenarios(Run(default_cfg, TopologyParams(), scenarios=ONE_PAIR, duration_s=4),
+                          workers=workers)
 
-    def test_label_naming_two_points_rejected_before_routing(self, default_cfg, monkeypatch):
-        def routed(*args, **kwargs):
-            raise AssertionError("routed")
-
-        monkeypatch.setattr(experiment, "_route_block", routed)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", routed)
+    def test_label_naming_two_points_rejected_before_routing(self, default_cfg):
         ny, london = (EXCHANGE_COORDINATES[c] for c in ("New York", "London"))
         dublin = exchange_pair("New York", "Dublin").dst
-        scenarios = [Scenario("a", GeodeticPoint(*ny, "X"), dublin),
-                     Scenario("b", GeodeticPoint(*london, "X"), dublin)]
-        for workers in (1, 2):
-            with pytest.raises(ValueError, match="label 'X' names two different points"):
-                run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=8,
-                              workers=workers)
+        scenarios = (Scenario("a", GeodeticPoint(*ny, "X"), dublin),
+                     Scenario("b", GeodeticPoint(*london, "X"), dublin))
+        with pytest.raises(ValueError, match="label 'X' names two different points"):
+            Run(default_cfg, TopologyParams(), scenarios=scenarios, duration_s=8)
 
     def test_pool_never_larger_than_the_core_count(self, default_cfg, monkeypatch, two_cores):
         # The pool runs each task inline when it is submitted, so no process
@@ -262,11 +256,12 @@ class TestRunScenario:
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(experiment, "_route_block", spy)
-        scenarios = builtin_scenarios()
-        eight = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=16, workers=8)
+        run = Run(default_cfg, TopologyParams(), scenarios=tuple(builtin_scenarios()),
+                  duration_s=16)
+        eight = run_scenarios(run, workers=8)
         assert [(p.max_workers, p.tasks) for p in pools] == [(1, [8])]
         assert routed == [8, 0]
-        one = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=16, workers=1)
+        one = run_scenarios(run, workers=1)
         assert len(pools) == 1
         assert eight == one
 
@@ -279,8 +274,9 @@ class TestRunScenario:
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", pool)
         monkeypatch.setattr(experiment, "usable_cores", lambda: cores)
-        ((routes, _),) = run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(),
-                                       duration_s=duration_s, workers=workers)
+        ((routes, _),) = run_scenarios(
+            Run(default_cfg, TopologyParams(), scenarios=ONE_PAIR, duration_s=duration_s),
+            workers=workers)
         assert len(routes) == duration_s
 
     def test_this_process_routes_the_first_chunk(self, default_cfg, monkeypatch, tmp_path,
@@ -289,7 +285,7 @@ class TestRunScenario:
         log = tmp_path / "chunks.txt"
         monkeypatch.setenv("LEOLAT_TEST_CHUNKS", str(log))
         monkeypatch.setattr(experiment, "_route_block", record_chunk)
-        run_scenarios(builtin_scenarios()[:1], default_cfg, TopologyParams(), duration_s=8,
+        run_scenarios(Run(default_cfg, TopologyParams(), scenarios=ONE_PAIR, duration_s=8),
                       workers=2)
         lines = log.read_text().splitlines()
         pids = {float(t): int(pid) for pid, t in map(str.split, lines)}
@@ -356,8 +352,8 @@ class TestSlotEngine:
     )
     def test_routes_equal_per_scenario_snapshot_and_heap_reference(self, epoch, params):
         cfg = ConstellationConfig(phase_factor=11, epoch=epoch)
-        scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
-        runs = run_scenarios(scenarios, cfg, params, duration_s=40, slot_s=20)
+        scenarios = (*builtin_scenarios(), exchange_pair("London", "Dublin"))
+        runs = run_scenarios(Run(cfg, params, scenarios=scenarios, duration_s=40, slot_s=20))
         constellation = Constellation(cfg)
         km_per_s = constellation.constants.c_vacuum / 1000.0
         for scenario, (routes, _) in zip(scenarios, runs):
@@ -391,9 +387,9 @@ class TestSlotEngine:
     def test_routes_equal_one_slot_reference(self, params, slot_s, duration_s, workers,
                                              two_cores):
         cfg = ConstellationConfig(phase_factor=11, epoch=777.0)
-        scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
-        runs = run_scenarios(scenarios, cfg, params, duration_s=duration_s, slot_s=slot_s,
-                             workers=workers)
+        scenarios = (*builtin_scenarios(), exchange_pair("London", "Dublin"))
+        runs = run_scenarios(Run(cfg, params, scenarios=scenarios, duration_s=duration_s,
+                                 slot_s=slot_s), workers=workers)
         constellation = Constellation(cfg)
         for scenario, (routes, _) in zip(scenarios, runs):
             assert len(routes) == duration_s // slot_s
@@ -406,9 +402,10 @@ class TestSlotEngine:
                 assert route == reference, (scenario.name, k)
 
     def test_worker_counts_agree(self, default_cfg, two_cores):
-        scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
-        one = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=9, workers=1)
-        two = run_scenarios(scenarios, default_cfg, TopologyParams(), duration_s=9, workers=2)
+        run = Run(default_cfg, TopologyParams(),
+                  scenarios=(*builtin_scenarios(), exchange_pair("London", "Dublin")), duration_s=9)
+        one = run_scenarios(run, workers=1)
+        two = run_scenarios(run, workers=2)
         assert [route_rows(r) for r, _ in one] == [route_rows(r) for r, _ in two]
         assert [s for _, s in one] == [s for _, s in two]
 
@@ -421,24 +418,26 @@ class TestSlotEngine:
         a = Scenario("West-East", GeodeticPoint(45.0, -30.0, "West"),
                      GeodeticPoint(45.0, -4.0, "East"))
         b = Scenario("Mid-Far", GeodeticPoint(45.8, -17.0, "Mid"), GeodeticPoint(0.0, 100.0, "Far"))
-        alone, _ = run_scenarios([a], default_cfg, params, duration_s=20, slot_s=2)[0]
-        (together, _), _ = run_scenarios([a, b], default_cfg, params, duration_s=20, slot_s=2)
+        alone, _ = run_scenarios(Run(default_cfg, params, scenarios=(a,), duration_s=20,
+                                     slot_s=2))[0]
+        (together, _), _ = run_scenarios(Run(default_cfg, params, scenarios=(a, b), duration_s=20,
+                                             slot_s=2))
         assert route_rows(together) == route_rows(alone)
         assert all(r is None for r in together)
 
     def test_shared_stations_route_as_if_alone(self, default_cfg):
-        scenarios = [
+        scenarios = (
             exchange_pair("New York", "Dublin"),
             exchange_pair("New York", "London"),
             exchange_pair("London", "New York"),
             exchange_pair("Dublin", "London"),
             exchange_pair("Toronto", "New York"),
-        ]
+        )
         params = TopologyParams(min_elevation_deg=30.0)
-        together = run_scenarios(scenarios, default_cfg, params, duration_s=6)
+        together = run_scenarios(Run(default_cfg, params, scenarios=scenarios, duration_s=6))
         for scenario, (results, summary) in zip(scenarios, together):
-            alone, alone_summary = run_scenarios([scenario], default_cfg, params,
-                                                 duration_s=6)[0]
+            alone, alone_summary = run_scenarios(
+                Run(default_cfg, params, scenarios=(scenario,), duration_s=6))[0]
             assert route_rows(results) == route_rows(alone)
             assert summary == alone_summary
 
@@ -449,13 +448,14 @@ class TestSlotEngine:
         params = TopologyParams(min_elevation_deg=30.0)
         polar = Scenario("North-South", GeodeticPoint(85.0, 10.0, "North"),
                          GeodeticPoint(-85.0, 10.0, "South"))
-        scenarios = [exchange_pair("New York", "Dublin"), polar,
-                     exchange_pair("Sao Paulo", "London")]
-        together = run_scenarios(scenarios, default_cfg, params, duration_s=12)
+        scenarios = (exchange_pair("New York", "Dublin"), polar,
+                     exchange_pair("Sao Paulo", "London"))
+        together = run_scenarios(Run(default_cfg, params, scenarios=scenarios, duration_s=12))
         polar_routes, _ = together[1]
         assert polar_routes == [None] * 12
         for scenario, (routes, _) in zip(scenarios[::2], together[::2]):
-            alone, _ = run_scenarios([scenario], default_cfg, params, duration_s=12)[0]
+            alone, _ = run_scenarios(Run(default_cfg, params, scenarios=(scenario,),
+                                         duration_s=12))[0]
             assert all(r is not None for r in alone)
             assert route_rows(routes) == route_rows(alone)
 
@@ -467,8 +467,8 @@ class TestSlotEngine:
         budget_km = experiment.route_budget_km
         monkeypatch.setattr(experiment, "route_budget_km", lambda *a: budget_km(*a) / 10.0)
         fallbacks = spy_fallbacks(monkeypatch)
-        scenarios = builtin_scenarios() + [exchange_pair("London", "Dublin")]
-        runs = run_scenarios(scenarios, cfg, params, duration_s=12)
+        scenarios = (*builtin_scenarios(), exchange_pair("London", "Dublin"))
+        runs = run_scenarios(Run(cfg, params, scenarios=scenarios, duration_s=12))
         # Every block falls back at its first slot.
         assert fallbacks == [0.0, 10.0]
         constellation = Constellation(cfg)
@@ -498,7 +498,7 @@ class TestSlotEngine:
         budget_km = (latency[3] + latency[4]) / 2.0 * km_per_s
         monkeypatch.setattr(experiment, "route_budget_km", lambda *a: budget_km)
         fallbacks = spy_fallbacks(monkeypatch)
-        engine = experiment._SlotEngine(cfg, params, [scenario], constellation.constants)
+        engine = experiment._SlotEngine(Run(cfg, params, scenarios=(scenario,)))
         built = []
         for t, (route,) in enumerate(engine.route_slots([float(t) for t in range(20)])):
             assert route == reference[t], t
@@ -511,9 +511,9 @@ class TestSlotEngine:
         # shell with over 800 km to spare: a run over them never prunes, so
         # it checks no slot.
         cities = list(EXCHANGE_COORDINATES)
-        scenarios = [exchange_pair(a, b) for k, a in enumerate(cities) for b in cities[k + 1:]]
+        scenarios = tuple(exchange_pair(a, b) for k, a in enumerate(cities) for b in cities[k + 1:])
         params = TopologyParams(min_elevation_deg=30.0)
-        engine = experiment._SlotEngine(default_cfg, params, scenarios, CONSTANTS)
+        engine = experiment._SlotEngine(Run(default_cfg, params, scenarios=scenarios))
         times = [60.0 * k for k in range(30)] + [4000.0 + k for k in range(10)]
         blocks = list(topology.candidate_blocks(engine.constellation, engine.stations, times,
                                                 params, engine.budgets))
@@ -521,4 +521,4 @@ class TestSlotEngine:
         assert not any(candidates.pruned for candidates, _ in blocks)
 
     def test_no_scenarios(self, default_cfg):
-        assert run_scenarios([], default_cfg, TopologyParams(), duration_s=5) == []
+        assert run_scenarios(Run(default_cfg, TopologyParams(), scenarios=(), duration_s=5)) == []
