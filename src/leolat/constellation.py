@@ -18,6 +18,9 @@ import numpy as np
 
 from .geo import CONSTANTS, PhysicalConstants, check_fields
 
+# A run holds about 50 bytes per candidate laser pair at its peak: 1 GB at the bound.
+MAX_PAIR_CANDIDATES = 20_000_000
+
 
 @dataclass(frozen=True)
 class ConstellationConfig:
@@ -162,6 +165,10 @@ class Constellation:
         half = np.arccos(np.clip(cos_w, -1.0, 1.0)) * per_rad
         lo = np.ceil(centre - half - 1e-9).astype(np.int64)
         count = np.clip(np.floor(centre + half + 1e-9).astype(np.int64) - lo + 1, 0, per_plane)
+        if count.sum() > MAX_PAIR_CANDIDATES:
+            raise ValueError(f"the {cfg.num_planes} x {cfg.sats_per_plane} shell has "
+                             f"{count.sum():,} candidate laser pairs within {chord_km:.7g} km, "
+                             f"more than the bound of {MAX_PAIR_CANDIDATES:,}")
         slot = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
         i = np.repeat(sats[row], count)
         j = np.repeat(q * per_plane, count) + slot % per_plane

@@ -12,13 +12,14 @@ every output independent of worker count.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import math
 import numbers
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -246,12 +247,10 @@ class _SlotEngine:
             NodeRef.satellite(sid) for sid in self.constellation.sat_ids
         ]
 
-    def route_slots(self, times: Sequence[float], between_blocks: Callable | None = None
-                    ) -> Iterator[list[Route | None]]:
+    def route_slots(self, times: Sequence[float]) -> Iterator[list[Route | None]]:
         """Each query's route at each of the ascending times, one list per
         time; the times of one topology.candidate_blocks block share one
-        candidate set and layout. between_blocks, if given, is called
-        after each block."""
+        candidate set and layout."""
         for candidates, block in candidate_blocks(self.constellation, self.stations, times,
                                                   self.params, self.budgets):
             graph, link_of = self._layout(candidates)
@@ -270,8 +269,6 @@ class _SlotEngine:
                 yield routes
             # Let this block go before the next one is built.
             candidates = graph = link_of = None
-            if between_blocks is not None:
-                between_blocks()
 
     def _layout(self, candidates: LinkCandidates) -> tuple[csr_matrix, np.ndarray]:
         """The block's graph, its data still unset, and for each entry the
@@ -301,11 +298,9 @@ class _SlotEngine:
                 for src, dst in self.queries]
 
 
-def _route_block(run: Run, between_blocks: Callable | None, times: Sequence[float]
-                 ) -> list[list[Route | None]]:
-    """Each scenario's route at each of the ascending times, one list per
-    time; between_blocks, if not None, is called after each candidate block."""
-    return list(_SlotEngine(run).route_slots(times, between_blocks))
+def _route_block(run: Run, times: Sequence[float]) -> list[list[Route | None]]:
+    """A pool's task: each scenario's route at each of the ascending times."""
+    return list(_SlotEngine(run).route_slots(times))
 
 
 def usable_cores() -> int:
@@ -323,8 +318,8 @@ def run_scenarios(run: Run, workers: int = 1) -> list[tuple[list[Route | None], 
     graph is built once for all scenarios. The slots are cut into P =
     max(1, min(workers, usable_cores(), n_slots // 2)) contiguous chunks:
     workers counts this process. It routes the first chunk while a pool of
-    P - 1 processes routes the rest, merged back in slot order; it checks
-    the pool for a failure after each of its blocks.
+    P - 1 processes routes the rest, merged back in slot order; after each
+    of its slots it re-raises the first failure of the pool's chunks.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -335,24 +330,22 @@ def run_scenarios(run: Run, workers: int = 1) -> list[tuple[list[Route | None], 
         procs = max(1, min(workers, usable_cores(), n_slots // 2))
         bounds = [(n_slots * w) // procs for w in range(procs + 1)]
         chunks = [times[bounds[w]:bounds[w + 1]] for w in range(procs)]
-        if procs == 1:
-            per_slot = _route_block(run, None, chunks[0])
-        else:
+        pool = contextlib.nullcontext()  # one process: chunks[1:] is empty
+        if procs > 1:
             # Load the routing kernel before the fork, so that the pool
             # inherits it, and fork before this process holds any routing memory.
             importlib.import_module("scipy.sparse.csgraph")
             # Read through the module: see __getattr__.
-            with sys.modules[__name__].ProcessPoolExecutor(max_workers=procs - 1) as pool:
-                parts = [pool.submit(_route_block, run, None, chunk) for chunk in chunks[1:]]
-
-                def raise_first_failure() -> None:
-                    for part in parts:
-                        if part.done() and part.exception() is not None:
-                            raise part.exception()
-
-                per_slot = _route_block(run, raise_first_failure, chunks[0])
+            pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=procs - 1)
+        with pool:
+            parts = [pool.submit(_route_block, run, chunk) for chunk in chunks[1:]]
+            for routes in _SlotEngine(run).route_slots(chunks[0]):
+                per_slot.append(routes)
                 for part in parts:
-                    per_slot.extend(part.result())
+                    if part.done() and part.exception() is not None:
+                        raise part.exception()
+            for part in parts:
+                per_slot.extend(part.result())
     per_scenario = [[slot[q] for slot in per_slot] for q in range(len(run.scenarios))]
     return [(routes, summarize(sc, routes, run.constants))
             for sc, routes in zip(run.scenarios, per_scenario)]

@@ -225,6 +225,23 @@ class TestRun:
                 text = text.replace('"lisl_range_km": 1e+300', '"lisl_range_km": 14000.0')
             assert text == (diameter / name).read_text(), name
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_shell_with_too_many_pair_candidates_rejected(self, tmp_path, capsys, two_cores,
+                                                          workers):
+        # Every pair of 9,801 satellites is within the diameter: 48,514,950
+        # candidates, more than constellation.MAX_PAIR_CANDIDATES.
+        p = tmp_path / "big.yaml"
+        p.write_text("constellation: {num_planes: 99, sats_per_plane: 99}\n"
+                     "topology: {lisl_range_km: 1.0e+300, occlusion_check: false}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out), "--duration", "2",
+                     "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: the 99 x 99 shell has [\d,]+ candidate laser pairs within "
+                            r"13856 km, more than the bound of 20,000,000\n", err), err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     def test_phase_factor_override_recorded_in_config_echo(self, tmp_path):
         out = tmp_path / "pf"
         assert main(["run", "--out", str(out), "--duration", "2", "--phase-factor", "7"]) == 0

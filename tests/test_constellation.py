@@ -154,6 +154,17 @@ def test_mean_speed_matches_circular_orbit_formula(default_constellation):
     assert math.sqrt(CONSTANTS.mu_earth / A) == pytest.approx(7.585, abs=0.01)
 
 
+def test_pair_candidates_bounded_before_they_are_built():
+    # A 99 x 99 shell has 901,296 candidates within 1,650 km and 48,514,950
+    # within its diameter; the bound lies between.
+    shell = Constellation(ConstellationConfig(num_planes=99, sats_per_plane=99))
+    xyz, kept = shell.positions_at(0.0), np.ones(len(shell), bool)
+    assert len(shell.pairs_within(0.0, xyz, 1650.0, kept)) > 0
+    with pytest.raises(ValueError, match=r"48,514,950 candidate laser pairs within 13856 km, "
+                                         r"more than the bound of 20,000,000"):
+        shell.pairs_within(0.0, xyz, 2.0 * shell.radius_km, kept)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_pairs_within_match_all_pairs_norms_on_random_walker_shells(data):

@@ -5,6 +5,8 @@ from concurrent.futures import Future
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import heap_route
 from leolat import experiment, topology
@@ -20,7 +22,7 @@ from leolat.experiment import (
     run_scenarios,
     summarize,
 )
-from leolat.geo import GeodeticPoint, great_circle_distance
+from leolat.geo import CONSTANTS, GeodeticPoint, great_circle_distance
 from leolat.routing import shortest_path
 from leolat.topology import NodeRef, TopologyParams, build_snapshot
 
@@ -105,6 +107,7 @@ def latency_ms(route):
 
 
 ROUTE_BLOCK = experiment._route_block
+ROUTE_SLOTS = experiment._SlotEngine.route_slots
 
 
 def record_chunk(*args):
@@ -114,6 +117,32 @@ def record_chunk(*args):
     with open(os.environ["LEOLAT_TEST_CHUNKS"], "a") as f:
         f.write(f"{os.getpid()} {args[-1][0]}\n")
     return ROUTE_BLOCK(*args)
+
+
+class InlinePool:
+    """A pool that runs each task when it is submitted, in this process, or
+    whose futures have all failed if `failure` is set."""
+
+    failure: Exception | None = None
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.tasks.append(args[-1][0])
+        done = Future()
+        if self.failure is not None:
+            done.set_exception(self.failure)
+        else:
+            done.set_result(fn(*args))
+        return done
 
 
 class TestRunScenario:
@@ -232,30 +261,16 @@ class TestRunScenario:
         # process routes the second and this process the first.
         pools, routed = [], []
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                self.tasks = []
-                pools.append(self)
+        def pool(max_workers):
+            pools.append(InlinePool(max_workers))
+            return pools[-1]
 
-            def __enter__(self):
-                return self
+        def spy(engine, times):
+            routed.append(times[0])
+            return ROUTE_SLOTS(engine, times)
 
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                self.tasks.append(args[-1][0])
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
-        def spy(*args):
-            routed.append(args[-1][0])
-            return ROUTE_BLOCK(*args)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(experiment, "_route_block", spy)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(experiment._SlotEngine, "route_slots", spy)
         run = Run(default_cfg, TopologyParams(), scenarios=tuple(builtin_scenarios()),
                   duration_s=16)
         eight = run_scenarios(run, workers=8)
@@ -264,6 +279,27 @@ class TestRunScenario:
         one = run_scenarios(run, workers=1)
         assert len(pools) == 1
         assert eight == one
+
+    def test_failed_chunk_stops_this_process_after_one_slot(self, default_cfg, monkeypatch,
+                                                              two_cores):
+        # The pool's chunk has failed before this process routes its first
+        # slot; its chunk, t = 0-19 s, is two blocks of 10 slots.
+        slots = []
+
+        class FailedPool(InlinePool):
+            failure = RuntimeError("the pool's chunk failed")
+
+        def spy(engine, times):
+            for routes in ROUTE_SLOTS(engine, times):
+                slots.append(times[len(slots)])
+                yield routes
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", FailedPool)
+        monkeypatch.setattr(experiment._SlotEngine, "route_slots", spy)
+        with pytest.raises(RuntimeError, match="the pool's chunk failed"):
+            run_scenarios(Run(default_cfg, TopologyParams(), scenarios=ONE_PAIR, duration_s=40),
+                          workers=2)
+        assert slots == [0]
 
     @pytest.mark.parametrize("workers,cores,duration_s", [(1, 2, 16), (2, 1, 16), (2, 2, 3)],
                              ids=["one-worker", "one-core", "under-two-slots-a-process"])
@@ -281,17 +317,24 @@ class TestRunScenario:
 
     def test_this_process_routes_the_first_chunk(self, default_cfg, monkeypatch, tmp_path,
                                                  two_cores):
-        # A real pool of one process.
+        # A real pool of one process. The pool's task logs its pid to a
+        # file; this process's chunk is logged in memory, which a forked
+        # child cannot append to.
         log = tmp_path / "chunks.txt"
+        routed = []
+
+        def spy(engine, times):
+            routed.append((os.getpid(), times[0]))
+            return ROUTE_SLOTS(engine, times)
+
         monkeypatch.setenv("LEOLAT_TEST_CHUNKS", str(log))
         monkeypatch.setattr(experiment, "_route_block", record_chunk)
+        monkeypatch.setattr(experiment._SlotEngine, "route_slots", spy)
         run_scenarios(Run(default_cfg, TopologyParams(), scenarios=ONE_PAIR, duration_s=8),
                       workers=2)
-        lines = log.read_text().splitlines()
-        pids = {float(t): int(pid) for pid, t in map(str.split, lines)}
-        assert len(lines) == 2
-        assert sorted(pids) == [0, 4]
-        assert pids[0] == os.getpid() != pids[4]
+        ((pid, t),) = map(str.split, log.read_text().splitlines())
+        assert routed == [(os.getpid(), 0)]
+        assert float(t) == 4 and int(pid) != os.getpid()
         assert multiprocessing.active_children() == []
 
     def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
@@ -302,6 +345,48 @@ class TestRunScenario:
         assert experiment.usable_cores() == 64
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert experiment.usable_cores() == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_worker_counts_agree_on_random_runs(data):
+    # Two workers on two usable cores: a real pool of one process routes
+    # the second chunk. The seam falls on a block edge or inside a block.
+    planes = data.draw(st.integers(3, 8), label="planes")
+    cfg = ConstellationConfig(
+        num_planes=planes,
+        sats_per_plane=data.draw(st.integers(3, 12), label="sats_per_plane"),
+        altitude_km=data.draw(st.floats(300.0, 1500.0), label="altitude"),
+        inclination_deg=data.draw(st.floats(30.0, 110.0), label="inclination"),
+        phase_factor=data.draw(st.integers(0, planes - 1), label="phase_factor"),
+    )
+    shell = Constellation(cfg)
+    spacing = 2.0 * shell.radius_km * math.sin(math.pi / cfg.sats_per_plane)
+    tangent = 2.0 * math.sqrt(shell.radius_km**2 - CONSTANTS.earth_radius_km**2)
+    params = TopologyParams(
+        lisl_range_km=data.draw(st.floats(0.5 * min(spacing, tangent),
+                                          1.2 * max(spacing, tangent)), label="range"),
+        min_elevation_deg=data.draw(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 60.0),
+                                    label="mask"),
+        occlusion_check=data.draw(st.booleans(), label="occlusion"),
+    )
+    points = [GeodeticPoint(data.draw(st.floats(-90.0, 90.0), label=f"S{k} latitude"),
+                            data.draw(st.floats(-180.0, 180.0), label=f"S{k} longitude"), f"S{k}")
+              for k in range(4)]
+    ends = data.draw(st.lists(st.permutations(range(4)), min_size=2, max_size=3), label="pairs")
+    scenarios = tuple(Scenario(f"pair {k}", points[a], points[b])
+                      for k, (a, b, *_) in enumerate(ends))
+    slot_s = data.draw(st.sampled_from([1, 7, 60]), label="slot_s")
+    block = 1 + math.floor(topology.BLOCK_MARGIN_KM / (2.0 * shell.speed_km_s * slot_s))
+    seam = (block * data.draw(st.integers(1, 2), label="blocks before the seam")
+            + data.draw(st.integers(0, block - 1), label="slots past the block edge"))
+    n_slots = 2 * seam + data.draw(st.integers(0, 1), label="odd")
+    run = Run(cfg, params, scenarios=scenarios, duration_s=n_slots * slot_s, slot_s=slot_s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "usable_cores", lambda: 2)
+        assert run_scenarios(run, workers=2) == run_scenarios(run, workers=1)
+    assert multiprocessing.active_children() == []
 
 
 def test_summarize_reproduces_reference_baseline_for_builtin_pairs():
