@@ -163,14 +163,20 @@ class Constellation:
         per_rad = per_plane / (2.0 * math.pi)
         centre = (np.arctan2(b, a) - theta0[q]) * per_rad
         half = np.arccos(np.clip(cos_w, -1.0, 1.0)) * per_rad
-        lo = np.ceil(centre - half - 1e-9).astype(np.int64)
-        count = np.clip(np.floor(centre + half + 1e-9).astype(np.int64) - lo + 1, 0, per_plane)
-        if count.sum() > MAX_PAIR_CANDIDATES:
+        # int32 throughout: the candidates are bounded below 2**31 before
+        # any is built, and they are the largest arrays of a block's build.
+        lo = np.ceil(centre - half - 1e-9).astype(np.int32)
+        count = np.clip(np.floor(centre + half + 1e-9).astype(np.int32) - lo + 1, 0, per_plane)
+        total = int(count.sum())
+        if total > MAX_PAIR_CANDIDATES:
             raise ValueError(f"the {cfg.num_planes} x {cfg.sats_per_plane} shell has "
-                             f"{count.sum():,} candidate laser pairs within {chord_km:.7g} km, "
+                             f"{total:,} candidate laser pairs within {chord_km:.7g} km, "
                              f"more than the bound of {MAX_PAIR_CANDIDATES:,}")
-        slot = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-        i = np.repeat(sats[row], count)
-        j = np.repeat(q * per_plane, count) + slot % per_plane
+        # Candidate k of row r is plane q's slot lo + (k - first candidate of r).
+        j = np.repeat(lo - (np.cumsum(count, dtype=np.int32) - count), count)
+        j += np.arange(total, dtype=np.int32)
+        j %= per_plane
+        j += np.repeat(q.astype(np.int32) * per_plane, count)
+        i = np.repeat(sats[row].astype(np.int32), count)
         keep = (j > i) & kept[j]
         return np.stack([i[keep], j[keep]], axis=1)

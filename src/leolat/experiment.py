@@ -19,7 +19,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -45,6 +45,9 @@ from .topology import LinkCandidates, NodeRef, TopologyParams, candidate_blocks,
 # shortcut the corridor and undercut the reference latencies by ~5-10%.
 REPRODUCTION_PHASE_FACTOR = 11
 REPRODUCTION_MIN_ELEVATION_DEG = 30.0
+
+# Graph entries whose latencies one np.take gathers.
+_TAKE_CHUNK = 8192
 
 # Most slots one run may hold: every route is kept in memory, about 1.15 KB
 # per slot for the three built-in scenarios, so 1.2 GB at the bound.
@@ -207,6 +210,17 @@ class Run:
         return slot_count(self.duration_s, self.slot_s)
 
 
+class _BlockGraph(NamedTuple):
+    """A block's graph, its data written per slot: entry m holds the latency
+    of candidate link link_of[m]; destination d's search starts at row
+    first_row[d] + d, and names[r] is row r's node."""
+
+    graph: csr_matrix
+    link_of: np.ndarray
+    first_row: dict[int, int]
+    names: Sequence[NodeRef]
+
+
 class _SlotEngine:
     """Routes every scenario of a run over one graph per slot.
 
@@ -219,14 +233,20 @@ class _SlotEngine:
 
     The slots of one topology.candidate_blocks block share one
     LinkCandidates set, and the graph's CSR layout (indptr and indices)
-    holds every candidate link of that block. Each slot writes only the
-    latencies, inf where a candidate is not a link at that slot: csgraph
-    never relaxes an inf edge and trace_route never takes one, so every
-    route equals the one-slot graph's.
+    holds the block's candidate links (in a pruned block, those inside each
+    component, below). Each slot writes only the latencies, inf where a
+    candidate is not a link at that slot: csgraph never relaxes an inf edge
+    and trace_route never takes one, so every route equals the one-slot
+    graph's.
 
     Each block's candidates are pruned to the scenarios' route budgets. A
-    slot's routes stand only if each is within its budget; otherwise that
-    slot and the rest of its block route on the unpruned candidates, so the
+    pruned block's graph is block-diagonal, one component per destination:
+    the stations, then only the satellites that the budgets of the
+    destination's own scenarios keep, both in global order, so that
+    trace_route breaks ties as on the whole graph. Each destination's
+    search stays inside its component. A slot's routes stand only if each
+    is within its budget; otherwise that slot and the rest of its block
+    route on the unpruned candidates, one graph over every node, so the
     budgets never change a route (see topology.LinkCandidates).
     """
 
@@ -253,48 +273,89 @@ class _SlotEngine:
         candidate set and layout."""
         for candidates, block in candidate_blocks(self.constellation, self.stations, times,
                                                   self.params, self.budgets):
-            graph, link_of = self._layout(candidates)
+            layout = self._layout(candidates)
             for t in block:
-                routes = self._route(graph, link_of, *candidates.at(t))
+                routes = self._route(layout, *candidates.at(t))
                 if candidates.pruned and not all(
                         r is not None and r.total_latency_s <= b
                         for r, b in zip(routes, self.budgets_s)):
                     # Let the pruned set go before the full one is built.
                     t0, span_s = candidates.t0, candidates.span_s
-                    candidates = graph = link_of = None
+                    candidates = layout = None
                     candidates = LinkCandidates(self.constellation, self.stations, t0, span_s,
                                                 self.params)
-                    graph, link_of = self._layout(candidates)
-                    routes = self._route(graph, link_of, *candidates.at(t))
+                    layout = self._layout(candidates)
+                    routes = self._route(layout, *candidates.at(t))
                 yield routes
             # Let this block go before the next one is built.
-            candidates = graph = link_of = None
+            candidates = layout = None
 
-    def _layout(self, candidates: LinkCandidates) -> tuple[csr_matrix, np.ndarray]:
-        """The block's graph, its data still unset, and for each entry the
-        candidate link whose latency it holds. The uplinks are one-way: the
-        station rows hold them, and no edge enters a station."""
-        n = len(self.nodes)
-        link_of, indptr, indices = csr_layout(n, candidates.link_i, candidates.link_j,
-                                              one_way=candidates.cone_ptr[-1])
-        return csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n)), link_of
+    def _layout(self, candidates: LinkCandidates) -> _BlockGraph:
+        """The block's graph. The uplinks are one-way: the station rows hold
+        them, and no edge enters a station."""
+        link_i, link_j, n_up = candidates.link_i, candidates.link_j, candidates.cone_ptr[-1]
+        if not candidates.pruned:
+            link_of, indptr, indices = csr_layout(len(self.nodes), link_i, link_j, one_way=n_up)
+            return _BlockGraph(self._csr(indptr, indices), link_of,
+                               dict.fromkeys(self.targets, 0), self.nodes)
+        # One component per destination, laid out on its own and stacked
+        # after the others: the stations and the satellites its scenarios'
+        # budgets keep, numbered in global order, and the candidate links
+        # between them.
+        n_st, parts, members, first_row, row, entry = len(self.stations), [], [], {}, 0, 0
+        for dst in self.targets:
+            inside = np.concatenate([np.ones(n_st, bool), np.logical_or.reduce(
+                [kept for (_, d), kept in zip(self.queries, candidates.kept_by_budget)
+                 if d == dst])])
+            members.append(np.flatnonzero(inside))
+            # Each node's number in the component: the members below it,
+            # counted as csr_layout counts row starts. (A cumsum of the mask
+            # would run numpy's bool-to-int cast: 64 KB of code that no other
+            # stage touches, resident for this alone.)
+            local = np.zeros(len(inside), np.int32)
+            np.cumsum(np.bincount(members[-1], minlength=len(inside))[:-1], out=local[1:])
+            links = np.flatnonzero(inside[link_i] & inside[link_j]).astype(np.int32)
+            link_of, indptr, indices = csr_layout(
+                len(members[-1]), local[link_i[links]], local[link_j[links]],
+                one_way=np.count_nonzero(links < n_up), edge_ids=links)
+            indices += row
+            indptr += entry
+            parts.append((link_of, indptr[:-1], indices))
+            first_row[dst] = row
+            row, entry = row + len(members[-1]), entry + len(indices)
+        link_of, indptr, indices = (np.concatenate(arrays) for arrays in zip(*parts))
+        parts = None  # before the graph's data is allocated
+        indptr = np.append(indptr, np.int32(entry))
+        names = [self.nodes[k] for k in np.concatenate(members).tolist()]
+        return _BlockGraph(self._csr(indptr, indices), link_of, first_row, names)
 
-    def _route(self, graph: csr_matrix, link_of: np.ndarray, dist_km: np.ndarray,
+    @staticmethod
+    def _csr(indptr: np.ndarray, indices: np.ndarray) -> csr_matrix:
+        n = len(indptr) - 1
+        return csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n))
+
+    def _route(self, block: _BlockGraph, dist_km: np.ndarray,
                is_link: np.ndarray) -> list[Route | None]:
+        graph, link_of, first_row, names = block
         data, indptr = graph.data, graph.indptr
         lat = link_latencies(dist_km, self.constellation.constants.c_vacuum, out=dist_km)
         lat[~is_link] = np.inf
-        np.take(lat, link_of, out=data, mode="clip")
+        # In chunks: np.take copies int32 indices to intp, and a copy of
+        # link_of would be as large as the graph's data.
+        for lo in range(0, len(data), _TAKE_CHUNK):
+            hi = lo + _TAKE_CHUNK
+            np.take(lat, link_of[lo:hi], out=data[lo:hi], mode="clip")
         # Each satellite's downlink latency to a destination is the
         # destination's uplink read backwards.
-        n = len(self.nodes)
+        rows = [first_row[dst] + dst for dst in self.targets]
         towards = {}
-        for dst, dist in zip(self.targets, distances_from(graph, self.targets)):
-            lo, hi = indptr[dst], indptr[dst + 1]
-            into_dst = np.full(n, np.inf)
+        for dst, row, dist in zip(self.targets, rows, distances_from(graph, rows)):
+            lo, hi = indptr[row], indptr[row + 1]
+            into_dst = np.full(len(names), np.inf)
             into_dst[graph.indices[lo:hi]] = data[lo:hi]
             towards[dst] = dist, into_dst
-        return [trace_route(graph, towards[dst][0], src, dst, self.nodes.__getitem__, towards[dst][1])
+        return [trace_route(graph, towards[dst][0], first_row[dst] + src, first_row[dst] + dst,
+                            names.__getitem__, towards[dst][1])
                 for src, dst in self.queries]
 
 

@@ -48,12 +48,14 @@ def link_latencies(
 
 
 def csr_layout(
-    n_nodes: int, edge_i: np.ndarray, edge_j: np.ndarray, one_way: int = 0
+    n_nodes: int, edge_i: np.ndarray, edge_j: np.ndarray, one_way: int = 0,
+    edge_ids: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(edge_of, indptr, indices), all int32, of a CSR matrix holding each
     edge edge_i[k] - edge_j[k] in both directions, or only as edge_i[k] ->
     edge_j[k] for k < one_way: entry m of the matrix is a direction of edge
-    edge_of[m].
+    edge_of[m], or of the edge named edge_ids[edge_of[m]] when edge_ids is
+    given.
 
     The arcs are each edge i -> j, then each two-way edge j -> i, grouped by
     tail with a stable sort, so within a row they keep that order. The
@@ -61,12 +63,16 @@ def csr_layout(
     number: for up to 65,536 nodes that is 16 bits, which numpy sorts
     stably by radix sort.
     """
-    tails = np.concatenate([edge_i, edge_j[one_way:]])
-    order = np.argsort(tails.astype(np.min_scalar_type(n_nodes)), kind="stable")
+    tails = np.concatenate([edge_i, edge_j[one_way:]], dtype=np.min_scalar_type(n_nodes),
+                           casting="unsafe")
     indptr = np.zeros(n_nodes + 1, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=n_nodes), out=indptr[1:])
+    order = np.argsort(tails, kind="stable")
+    tails = None  # the sort's input goes before its outputs are gathered
     indices = np.concatenate([edge_j, edge_i[one_way:]])[order].astype(np.int32, copy=False)
     order[order >= len(edge_i)] -= len(edge_i) - one_way
+    if edge_ids is not None:
+        return edge_ids.take(order).astype(np.int32, copy=False), indptr, indices
     return order.astype(np.int32), indptr, indices
 
 

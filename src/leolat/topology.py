@@ -70,6 +70,8 @@ _CONE_MARGIN = 1e-6
 # LinkCandidates set, km. With 1 s slots a block is 10 slots; slots longer
 # than BLOCK_MARGIN_KM / (2 v), about 9.9 s, get a block each and no margin.
 BLOCK_MARGIN_KM = 150.0
+# Pairs pair_lengths measures at a time.
+_PAIR_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -155,19 +157,25 @@ class SnapshotGraph:
 def pair_lengths(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Distance between points i[k] and j[k] of a (3, N) array of x, y and z
     rows. Gathers from three 1-D rows run faster than one (N, 3) row
-    gather, ndarray.take gathers through int32 indices faster than indexing,
-    and the sum x + y + z is np.linalg.norm's, so the result is
+    gather, and the sum x + y + z is np.linalg.norm's, so the result is
     bit-identical to np.linalg.norm(xyz[i] - xyz[j], axis=1)."""
-    # In place: at most three pair-sized arrays are alive at once.
+    # In chunks, with each chunk's indices cast once: ndarray.take casts any
+    # other index type to intp on every call, a copy the size of the index
+    # array. So the result is the one pair-sized array.
     x, y, z = cols
-    dist = x.take(i)
-    dist -= x.take(j)
-    dist *= dist
-    for row in (y, z):
-        d = row.take(i)
-        d -= row.take(j)
-        d *= d
-        dist += d
+    dist = np.empty(len(i))
+    for lo in range(0, len(i), _PAIR_CHUNK):
+        i_ = i[lo:lo + _PAIR_CHUNK].astype(np.intp)
+        j_ = j[lo:lo + _PAIR_CHUNK].astype(np.intp)
+        out = dist[lo:lo + _PAIR_CHUNK]
+        x.take(i_, out=out)
+        out -= x.take(j_)
+        out *= out
+        for row in (y, z):
+            d = row.take(i_)
+            d -= row.take(j_)
+            d *= d
+            out += d
     return np.sqrt(dist, out=dist)
 
 
@@ -206,14 +214,17 @@ class LinkCandidates:
     Each of the budgets (a, b, L = c * B) prunes: a route of latency <= B
     from station a to b has every node x in the ellipsoid |x - a| + |x - b|
     <= L, so only the satellites within L * (1 + _CONE_MARGIN) + 2 * drift of
-    it at t0 are `kept` (drift is the cones' motion bound); the others keep
-    no candidate. `pruned` says whether any went. Routes on a pruned set
-    are exact if their latency R <= B: the full optimum is <= R, and every
-    full route that fast lies in the kept satellites, so both graphs share
-    their optimal routes. A node's csgraph distance is the least float path
-    sum over its paths, so every node that trace_route finds tight gets the
-    same float in both; one whose shortest path leaves the ellipsoid is
-    slower by far more than rounding and tight in neither.
+    it at t0 are kept (drift is the cones' motion bound). kept_by_budget
+    holds each budget's mask, and `kept` their union; the satellites
+    outside it keep no candidate. `pruned` says whether any went. Routes
+    from a to b on any graph that holds budget (a, b)'s kept satellites
+    and their candidates are exact if their latency R <= B: the full
+    optimum is <= R, and every full route that fast lies in those
+    satellites, so both graphs share their optimal routes. A node's csgraph
+    distance is the least float path sum over its paths, so every node that
+    trace_route finds tight gets the same float in both; one whose shortest
+    path leaves the ellipsoid is slower by far more than rounding and tight
+    in neither.
     """
 
     def __init__(
@@ -253,9 +264,10 @@ class LinkCandidates:
         ranges = [np.linalg.norm(self._xyz0 - _station_xyz(st, t0, constants), axis=1)
                   for st in self.stations]
         drift = (constellation.speed_km_s + constants.earth_rotation_rate * earth_r) * span_s
-        self.kept = np.full(len(self._xyz0), not budgets)
-        for a, b, budget_km in budgets:
-            self.kept |= ranges[a] + ranges[b] <= budget_km * (1.0 + _CONE_MARGIN) + 2.0 * drift
+        self.kept_by_budget = [ranges[a] + ranges[b] <= budget_km * (1.0 + _CONE_MARGIN)
+                               + 2.0 * drift for a, b, budget_km in budgets]
+        self.kept = np.logical_or.reduce(self.kept_by_budget, axis=0) if budgets \
+            else np.ones(len(self._xyz0), bool)
         self.pruned = not self.kept.all()
         pairs = constellation.pairs_within(
             t0, self._xyz0,
@@ -265,10 +277,14 @@ class LinkCandidates:
         cone_km = mask_slant_km(constellation, params.min_elevation_deg) * (1.0 + _CONE_MARGIN)
         cones = [np.flatnonzero((r <= cone_km + drift) & self.kept) for r in ranges]
         self.cone_ptr = np.cumsum([0] + [len(cone) for cone in cones])
-        n_st = len(self.stations)
-        self.link_i = np.concatenate([np.repeat(np.arange(n_st), np.diff(self.cone_ptr)),
-                                      pairs[:, 0] + n_st]).astype(np.int32)
-        self.link_j = (np.concatenate(cones + [pairs[:, 1]]) + n_st).astype(np.int32)
+        n_st, n_up = len(self.stations), self.cone_ptr[-1]
+        self.link_i = np.empty(n_up + len(pairs), np.int32)
+        self.link_j = np.empty_like(self.link_i)
+        self.link_i[:n_up] = np.repeat(np.arange(n_st), np.diff(self.cone_ptr))
+        for lo, cone in zip(self.cone_ptr, cones):
+            self.link_j[lo:lo + len(cone)] = cone + n_st
+        for end, column in ((self.link_i, 0), (self.link_j, 1)):
+            np.add(pairs[:, column], n_st, out=end[n_up:])
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The candidates measured at t, as (dist_km, is_link): each
@@ -280,8 +296,12 @@ class LinkCandidates:
         constants = self.constellation.constants
         sats_xyz = self._xyz0 if t == self.t0 else self.constellation.positions_at(t)
         gs_xyz = np.array([_station_xyz(st, t, constants) for st in self.stations]).reshape(-1, 3)
-        xyz = np.concatenate([gs_xyz, sats_xyz])
-        dist = pair_lengths(xyz.T.copy(), self.link_i, self.link_j)
+        # Every node's x, y and z rows; xyz is the (N, 3) view of them.
+        cols = np.empty((3, len(gs_xyz) + len(sats_xyz)))
+        cols[:, :len(gs_xyz)] = gs_xyz.T
+        cols[:, len(gs_xyz):] = sats_xyz.T
+        xyz = cols.T
+        dist = pair_lengths(cols, self.link_i, self.link_j)
         is_link = dist <= self.reach
         for gs, lo, hi in zip(gs_xyz, self.cone_ptr, self.cone_ptr[1:]):
             is_link[lo:hi] = elevation_angles(gs, xyz[self.link_j[lo:hi]]) \

@@ -234,16 +234,21 @@ def heap_route(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> tuple[list[s
 
 def brute_force_edge_set(constellation, stations, t, params) -> set[tuple[str, str]]:
     """All-pairs O(n^2) oracle for the pruned snapshot builder, in the
-    form of edge_set()."""
+    form of edge_set().
+
+    A pair's length is np.linalg.norm over a row of coordinate differences,
+    the length pair_lengths matches bit for bit. The norm of a 1-D vector
+    is a dot product instead, which can round a length at the range the
+    other way.
+    """
     sats = constellation.positions_at(t)
     ids = constellation.sat_ids
     edges = set()
     for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            d = float(np.linalg.norm(sats[i] - sats[j]))
-            if d <= params.lisl_range_km:
-                if not params.occlusion_check or segments_clear(sats[i:i + 1], sats[j:j + 1])[0]:
-                    edges.add(tuple(sorted((ids[i], ids[j]))))
+        lengths = np.linalg.norm(sats[i] - sats[i + 1:], axis=1)
+        for j in np.flatnonzero(lengths <= params.lisl_range_km) + i + 1:
+            if not params.occlusion_check or segments_clear(sats[i:i + 1], sats[j:j + 1])[0]:
+                edges.add(tuple(sorted((ids[i], ids[j]))))
     for st in stations:
         elev = elevation_angles(geodetic_to_inertial(st, t), sats)
         edges.update((st.label, ids[k]) for k in np.flatnonzero(elev >= params.min_elevation_deg))

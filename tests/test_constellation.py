@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import parse_sat_id
-from leolat.constellation import Constellation, ConstellationConfig, format_sat_id
+from leolat.constellation import Constellation, ConstellationConfig, _propagate, format_sat_id
 from leolat.geo import CONSTANTS
 
 A = 6928.0  # shell radius at 550 km over the 6,378 km Earth
@@ -154,12 +154,53 @@ def test_mean_speed_matches_circular_orbit_formula(default_constellation):
     assert math.sqrt(CONSTANTS.mu_earth / A) == pytest.approx(7.585, abs=0.01)
 
 
+def pairs_within_int64(shell: Constellation, t: float, xyz: np.ndarray, chord_km: float,
+                       kept: np.ndarray) -> np.ndarray:
+    """Constellation.pairs_within with int64 intermediates and result: the
+    same arcs of slots, counted and expanded in numpy's default integers."""
+    cfg, per_plane = shell.cfg, shell.cfg.sats_per_plane
+    chord_km = min(chord_km, 2.0 * shell.radius_km)
+    c = 1.0 - chord_km**2 / (2.0 * shell.radius_km**2) - 4e-15
+    sats = np.flatnonzero(kept)
+    u = xyz[sats] / shell.radius_km
+    raan, zero = shell._raan[::per_plane], np.zeros(cfg.num_planes)
+    e1 = _propagate(raan, zero, 0.0, 1.0, 0.0, shell._inc)
+    e2 = _propagate(raan, zero + math.pi / 2.0, 0.0, 1.0, 0.0, shell._inc)
+    a, b = u @ e1.T, u @ e2.T
+    rho = np.hypot(a, b)
+    row, q = np.nonzero((np.arange(cfg.num_planes) >= (sats // per_plane)[:, None])
+                        & (rho >= c))
+    a, b, rho = a[row, q], b[row, q], rho[row, q]
+    cos_w = np.divide(c, rho, out=np.full(len(rho), -1.0), where=rho > 0.0)
+    theta0 = (shell._anom0[::per_plane] + shell.mean_motion_rad_s * (t - cfg.epoch)) \
+        % (2.0 * math.pi)
+    per_rad = per_plane / (2.0 * math.pi)
+    centre = (np.arctan2(b, a) - theta0[q]) * per_rad
+    half = np.arccos(np.clip(cos_w, -1.0, 1.0)) * per_rad
+    lo = np.ceil(centre - half - 1e-9).astype(np.int64)
+    count = np.clip(np.floor(centre + half + 1e-9).astype(np.int64) - lo + 1, 0, per_plane)
+    slot = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+    i = np.repeat(sats[row], count)
+    j = np.repeat(q * per_plane, count) + slot % per_plane
+    keep = (j > i) & kept[j]
+    return np.stack([i[keep], j[keep]], axis=1)
+
+
+def assert_int32_pairs_equal_int64(pairs, shell, t, xyz, chord_km, kept):
+    """The pairs are int32 and, pair for pair and in order, the int64 search's."""
+    want = pairs_within_int64(shell, t, xyz, chord_km, kept)
+    assert pairs.dtype == np.int32 and want.dtype == np.int64
+    assert pairs.shape == want.shape and (pairs == want).all()
+
+
 def test_pair_candidates_bounded_before_they_are_built():
     # A 99 x 99 shell has 901,296 candidates within 1,650 km and 48,514,950
     # within its diameter; the bound lies between.
     shell = Constellation(ConstellationConfig(num_planes=99, sats_per_plane=99))
     xyz, kept = shell.positions_at(0.0), np.ones(len(shell), bool)
-    assert len(shell.pairs_within(0.0, xyz, 1650.0, kept)) > 0
+    pairs = shell.pairs_within(0.0, xyz, 1650.0, kept)
+    assert len(pairs) > 0
+    assert_int32_pairs_equal_int64(pairs, shell, 0.0, xyz, 1650.0, kept)
     with pytest.raises(ValueError, match=r"48,514,950 candidate laser pairs within 13856 km, "
                                          r"more than the bound of 20,000,000"):
         shell.pairs_within(0.0, xyz, 2.0 * shell.radius_km, kept)
@@ -195,6 +236,7 @@ def test_pairs_within_match_all_pairs_norms_on_random_walker_shells(data):
         chord = data.draw(st.floats(0.0, 1.1 * 2.0 * shell.radius_km), label="chord")
 
     pairs = shell.pairs_within(t, xyz, chord, kept)
+    assert_int32_pairs_equal_int64(pairs, shell, t, xyz, chord, kept)
     i, j = pairs.T
     assert (i < j).all() and kept[i].all() and kept[j].all()
     found = set(zip(i.tolist(), j.tolist()))

@@ -4,12 +4,13 @@ import os
 from concurrent.futures import Future
 
 import networkx as nx
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import heap_route
-from leolat import experiment, topology
+from conftest import brute_force_edge_set, heap_route, snapshot_from_edges
+from leolat import experiment, routing, topology
 from leolat.constellation import Constellation, ConstellationConfig
 from leolat.experiment import (
     EXCHANGE_COORDINATES,
@@ -22,7 +23,7 @@ from leolat.experiment import (
     run_scenarios,
     summarize,
 )
-from leolat.geo import CONSTANTS, GeodeticPoint, great_circle_distance
+from leolat.geo import CONSTANTS, GeodeticPoint, geodetic_to_inertial, great_circle_distance
 from leolat.routing import shortest_path
 from leolat.topology import NodeRef, TopologyParams, build_snapshot
 
@@ -607,3 +608,162 @@ class TestSlotEngine:
 
     def test_no_scenarios(self, default_cfg):
         assert run_scenarios(Run(default_cfg, TopologyParams(), scenarios=(), duration_s=5)) == []
+
+    def test_each_destination_searches_only_its_own_scenarios_satellites(self):
+        # The first block of the paper's run is pruned. Each destination's
+        # component holds the stations, then the satellites its own
+        # scenario's budget keeps, in ascending global order; its entries
+        # stay inside it.
+        engine = experiment._SlotEngine(Run())
+        candidates, _ = next(topology.candidate_blocks(
+            engine.constellation, engine.stations, [float(t) for t in range(10)], engine.params,
+            engine.budgets))
+        block = engine._layout(candidates)
+        graph, n_st = block.graph, len(engine.stations)
+        assert candidates.pruned and sorted(block.first_row) == engine.targets == [1, 3, 5]
+        bounds = sorted(block.first_row.values()) + [graph.shape[0]]
+        sizes = {}
+        for (_, dst), kept in zip(engine.queries, candidates.kept_by_budget):
+            first = block.first_row[dst]
+            last = bounds[bounds.index(first) + 1]
+            assert block.names[first:last] == engine.nodes[:n_st] + [
+                engine.nodes[n_st + k] for k in np.flatnonzero(kept)]
+            columns = graph.indices[graph.indptr[first]:graph.indptr[last]]
+            assert ((first <= columns) & (columns < last)).all()
+            sizes[engine.stations[dst].label] = last - first - n_st
+        assert 100 < sizes["Dublin"] < 160 < sizes["London"] < sizes["Sydney"] \
+            < candidates.kept.sum()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_one_search_per_slot_and_per_fallback(self, monkeypatch, scale):
+        budget_km = experiment.route_budget_km
+        monkeypatch.setattr(experiment, "route_budget_km", lambda *a: budget_km(*a) * scale)
+        fallbacks = spy_fallbacks(monkeypatch)
+        searches = []
+        search = experiment.distances_from
+
+        def spy(graph, rows):
+            searches.append(list(rows))
+            return search(graph, rows)
+
+        monkeypatch.setattr(experiment, "distances_from", spy)
+        run_scenarios(Run(duration_s=25))
+        # One search per slot from the three destinations' rows, and one
+        # more for each slot routed again on the unpruned candidates.
+        assert len(searches) == 25 + len(fallbacks)
+        assert all(len(rows) == 3 for rows in searches)
+        assert (fallbacks == []) == (scale == 1.0)
+
+    def test_unpruned_blocks_keep_the_single_graph(self, default_cfg):
+        cities = list(EXCHANGE_COORDINATES)
+        scenarios = tuple(exchange_pair(a, b) for k, a in enumerate(cities) for b in cities[k + 1:])
+        params = TopologyParams(min_elevation_deg=30.0)
+        engine = experiment._SlotEngine(Run(default_cfg, params, scenarios=scenarios))
+        for candidates, _ in topology.candidate_blocks(engine.constellation, engine.stations,
+                                                       [0.0, 600.0], params, engine.budgets):
+            assert not candidates.pruned
+            block = engine._layout(candidates)
+            want = routing.csr_layout(len(engine.nodes), candidates.link_i, candidates.link_j,
+                                      one_way=candidates.cone_ptr[-1])
+            for got, expected in zip((block.link_of, block.graph.indptr, block.graph.indices),
+                                     want):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert block.names is engine.nodes
+            assert block.first_row == dict.fromkeys(engine.targets, 0)
+
+
+def oracle_routes(shell: Constellation, scenarios, t: float, params: TopologyParams):
+    """Each scenario's route at t as (labels, fsum latency in s), or None:
+    the heap router on the scenario's two stations and the links that
+    brute_force_edge_set finds, with lengths by np.linalg.norm."""
+    stations = list({p.label: p for sc in scenarios for p in (sc.src, sc.dst)}.values())
+    sat_ids = set(shell.sat_ids)
+    where = dict(zip(shell.sat_ids, shell.positions_at(t)))
+    where.update((st.label, geodetic_to_inertial(st, t)) for st in stations)
+    edges = sorted(brute_force_edge_set(shell, stations, t, params))
+
+    def node(label):
+        return NodeRef.satellite(label) if label in sat_ids else NodeRef.ground(label)
+
+    routes = []
+    for sc in scenarios:
+        # The laser links, and the uplinks of this scenario's stations only.
+        mine = [(a, b) for a, b in edges if a in sat_ids or a in (sc.src.label, sc.dst.label)]
+        km = np.linalg.norm(np.array([where[a] for a, _ in mine]).reshape(-1, 3)
+                            - np.array([where[b] for _, b in mine]).reshape(-1, 3), axis=1)
+        src, dst = NodeRef.ground(sc.src.label), NodeRef.ground(sc.dst.label)
+        graph = snapshot_from_edges(
+            [(node(a), node(b), float(d)) for (a, b), d in zip(mine, km)], nodes=[src, dst])
+        routes.append(heap_route(graph, src, dst))
+    return routes
+
+
+@st.composite
+def oracle_cases(draw):
+    """A run and a scale for its route budgets. Scenarios a -> b and c -> b
+    share a destination, and b -> c starts at one, so the destinations'
+    components differ and overlap. Scales down to a tenth make slots fall
+    back to the unpruned candidates."""
+    planes = draw(st.integers(3, 8), label="planes")
+    cfg = ConstellationConfig(
+        num_planes=planes,
+        sats_per_plane=draw(st.integers(3, 22), label="sats_per_plane"),
+        altitude_km=draw(st.floats(300.0, 1500.0), label="altitude"),
+        inclination_deg=draw(st.sampled_from([53.0]) | st.floats(30.0, 110.0),
+                             label="inclination"),
+        raan0_deg=draw(st.sampled_from([0.0]) | st.floats(0.0, 360.0), label="raan0"),
+        phase_factor=draw(st.integers(0, planes - 1), label="phase_factor"),
+        epoch=draw(st.sampled_from([0.0]) | st.floats(0.0, 6000.0), label="epoch"),
+    )
+    shell = Constellation(cfg)
+    spacing = 2.0 * shell.radius_km * math.sin(math.pi / cfg.sats_per_plane)
+    tangent = 2.0 * math.sqrt(shell.radius_km**2 - CONSTANTS.earth_radius_km**2)
+    # Mostly ranges past the in-plane spacing, so that most slots have routes.
+    params = TopologyParams(
+        lisl_range_km=draw(st.floats(min(spacing, tangent), 1.2 * max(spacing, tangent))
+                           | st.floats(0.5 * min(spacing, tangent), 1.2 * tangent),
+                           label="range"),
+        min_elevation_deg=draw(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 60.0),
+                               label="mask"),
+        occlusion_check=draw(st.booleans(), label="occlusion"),
+    )
+    n_points = draw(st.integers(3, 5), label="stations")
+    points = [GeodeticPoint(draw(st.floats(-90.0, 90.0), label=f"S{k} latitude"),
+                            draw(st.floats(-180.0, 180.0), label=f"S{k} longitude"), f"S{k}")
+              for k in range(n_points)]
+    a, b, c, *_ = draw(st.permutations(range(n_points)), label="a, b, c")
+    ends = [(a, b), (c, b), (b, c)] + draw(
+        st.lists(st.permutations(range(n_points)).map(lambda p: (p[0], p[1])), max_size=1),
+        label="another pair")
+    # At most about 6,000 satellite pairs for the all-pairs oracle to test
+    # over the whole horizon.
+    slot_s = draw(st.sampled_from([1, 7, 60]), label="slot_s")
+    most = max(1, min({1: 12, 7: 4, 60: 3}[slot_s], 12_000 // len(shell) ** 2))
+    n_slots = draw(st.integers(1, most), label="slots")
+    run = Run(cfg, params, duration_s=n_slots * slot_s, slot_s=slot_s,
+              scenarios=tuple(Scenario(f"pair {k}", points[x], points[y])
+                              for k, (x, y) in enumerate(ends)))
+    return run, draw(st.floats(0.1, 1.0), label="budget scale")
+
+
+# A shell with bit-equal route latencies at epoch 0 inside the pruned
+# components of the built-in pairs.
+TIED_RUN = Run(ConstellationConfig(num_planes=6, sats_per_plane=22, phase_factor=1),
+               TopologyParams(lisl_range_km=4000.0, min_elevation_deg=30.0), duration_s=2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=oracle_cases())
+@example(case=(TIED_RUN, 1.0))
+def test_routes_equal_all_pairs_heap_oracle_on_random_runs(case):
+    run, scale = case
+    budget_km = experiment.route_budget_km
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "route_budget_km", lambda *args: budget_km(*args) * scale)
+        got = [routes for routes, _ in run_scenarios(run)]
+    shell = Constellation(run.constellation)
+    for k in range(run.n_slots):
+        want = oracle_routes(shell, run.scenarios, k * run.slot_s, run.topology)
+        assert [(r.labels(), r.total_latency_s) if r else None for r in (q[k] for q in got)] \
+            == want, k

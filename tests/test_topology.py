@@ -16,6 +16,7 @@ from conftest import (
 )
 from leolat.constellation import Constellation, ConstellationConfig
 from leolat.geo import CONSTANTS, GeodeticPoint, elevation_angles, geodetic_to_inertial
+from leolat import topology
 from leolat.routing import link_latencies, shortest_path
 from leolat.topology import (
     BLOCK_MARGIN_KM,
@@ -189,6 +190,7 @@ class TestSnapshot:
 @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(1, 40), n_pairs=st.integers(0, 200),
        radius=st.sampled_from([1.0, 6928.0, 1e7]))
 @example(seed=0, n_points=3, n_pairs=0, radius=6928.0)  # no pairs
+@example(seed=1, n_points=40, n_pairs=2 * topology._PAIR_CHUNK + 5, radius=6928.0)  # 3 chunks
 def test_pair_lengths_match_row_norms(seed, n_points, n_pairs, radius):
     rng = np.random.default_rng(seed)
     xyz = rng.normal(size=(n_points, 3))
