@@ -48,6 +48,8 @@ REPRODUCTION_MIN_ELEVATION_DEG = 30.0
 
 # Graph entries whose latencies one np.take gathers.
 _TAKE_CHUNK = 8192
+# Most graph components of one block: the bits of a node's membership.
+_MAX_COMPONENTS = 64
 
 # Most slots one run may hold: every route is kept in memory, about 1.15 KB
 # per slot for the three built-in scenarios, so 1.2 GB at the bound.
@@ -240,14 +242,16 @@ class _SlotEngine:
     graph's.
 
     Each block's candidates are pruned to the scenarios' route budgets. A
-    pruned block's graph is block-diagonal, one component per destination:
-    the stations, then only the satellites that the budgets of the
-    destination's own scenarios keep, both in global order, so that
+    pruned block's graph is block-diagonal, one component per destination,
+    where the block's slots make every component pay for its layout (see
+    _layout): the stations, then only the satellites that the budgets of
+    the destination's own scenarios keep, both in global order, so that
     trace_route breaks ties as on the whole graph. Each destination's
-    search stays inside its component. A slot's routes stand only if each
-    is within its budget; otherwise that slot and the rest of its block
-    route on the unpruned candidates, one graph over every node, so the
-    budgets never change a route (see topology.LinkCandidates).
+    search stays inside its component. Other blocks have the single graph
+    over every node. A slot's routes stand only if each is within its
+    budget; otherwise that slot and the rest of its block route on the
+    unpruned candidates, on the single graph, so the budgets never change
+    a route (see topology.LinkCandidates).
     """
 
     def __init__(self, run: Run):
@@ -273,7 +277,7 @@ class _SlotEngine:
         candidate set and layout."""
         for candidates, block in candidate_blocks(self.constellation, self.stations, times,
                                                   self.params, self.budgets):
-            layout = self._layout(candidates)
+            layout = self._layout(candidates, len(block))
             for t in block:
                 routes = self._route(layout, *candidates.at(t))
                 if candidates.pruned and not all(
@@ -284,48 +288,65 @@ class _SlotEngine:
                     candidates = layout = None
                     candidates = LinkCandidates(self.constellation, self.stations, t0, span_s,
                                                 self.params)
-                    layout = self._layout(candidates)
+                    layout = self._layout(candidates, len(block))
                     routes = self._route(layout, *candidates.at(t))
                 yield routes
             # Let this block go before the next one is built.
             candidates = layout = None
 
-    def _layout(self, candidates: LinkCandidates) -> _BlockGraph:
-        """The block's graph. The uplinks are one-way: the station rows hold
-        them, and no edge enters a station."""
+    def _layout(self, candidates: LinkCandidates, n_slots: int) -> _BlockGraph:
+        """The graph of a block of n_slots slots. The uplinks are one-way:
+        the station rows hold them, and no edge enters a station.
+
+        Each destination gets a component of its own, holding the stations
+        and the `own` satellites that its scenarios' budgets keep, if every
+        destination has (union - own) * n_slots >= own, union counting the
+        satellites that any budget keeps: over the block, its search would
+        visit more satellites in vain on the single graph than its own
+        component lays out. Otherwise the block has the single graph, whose
+        rows the satellites that no budget keeps leave empty. (Components
+        for some destinations only, next to the single graph for the
+        others, would hold more links than either.)
+        """
         link_i, link_j, n_up = candidates.link_i, candidates.link_j, candidates.cone_ptr[-1]
-        if not candidates.pruned:
+        n_st, union = len(self.stations), np.count_nonzero(candidates.kept)
+        own = [np.logical_or.reduce([kept for (_, d), kept in zip(self.queries,
+                                                                  candidates.kept_by_budget)
+                                     if d == dst])
+               for dst in self.targets] if candidates.pruned else []
+        if not 0 < len(own) <= _MAX_COMPONENTS or any(
+                (union - size) * n_slots < size for size in map(np.count_nonzero, own)):
             link_of, indptr, indices = csr_layout(len(self.nodes), link_i, link_j, one_way=n_up)
             return _BlockGraph(self._csr(indptr, indices), link_of,
                                dict.fromkeys(self.targets, 0), self.nodes)
-        # One component per destination, laid out on its own and stacked
-        # after the others: the stations and the satellites its scenarios'
-        # budgets keep, numbered in global order, and the candidate links
-        # between them.
-        n_st, parts, members, first_row, row, entry = len(self.stations), [], [], {}, 0, 0
-        for dst in self.targets:
-            inside = np.concatenate([np.ones(n_st, bool), np.logical_or.reduce(
-                [kept for (_, d), kept in zip(self.queries, candidates.kept_by_budget)
-                 if d == dst])])
-            members.append(np.flatnonzero(inside))
-            # Each node's number in the component: the members below it,
-            # counted as csr_layout counts row starts. (A cumsum of the mask
-            # would run numpy's bool-to-int cast: 64 KB of code that no other
-            # stage touches, resident for this alone.)
-            local = np.zeros(len(inside), np.int32)
-            np.cumsum(np.bincount(members[-1], minlength=len(inside))[:-1], out=local[1:])
-            links = np.flatnonzero(inside[link_i] & inside[link_j]).astype(np.int32)
-            link_of, indptr, indices = csr_layout(
-                len(members[-1]), local[link_i[links]], local[link_j[links]],
-                one_way=np.count_nonzero(links < n_up), edge_ids=links)
-            indices += row
-            indptr += entry
-            parts.append((link_of, indptr[:-1], indices))
-            first_row[dst] = row
-            row, entry = row + len(members[-1]), entry + len(indices)
-        link_of, indptr, indices = (np.concatenate(arrays) for arrays in zip(*parts))
-        parts = None  # before the graph's data is allocated
-        indptr = np.append(indptr, np.int32(entry))
+        # Bit c of a node is set if component c holds it, and a link lies in
+        # the component if both its ends do.
+        bits = np.zeros(len(self.nodes), np.min_scalar_type(2**len(own) - 1))
+        bits[:n_st] = 2**len(own) - 1
+        for c, kept in enumerate(own):
+            bits[n_st:][kept] |= 1 << c
+        both = bits[link_i] & bits[link_j]
+        row_of = np.empty(len(self.nodes), np.int32)
+        members, pieces, rows = [], [], 0
+        for c, kept in enumerate(own):
+            members.append(np.concatenate([np.arange(n_st), n_st + np.flatnonzero(kept)]))
+            row_of[members[-1]] = np.arange(rows, rows + len(members[-1]), dtype=np.int32)
+            links = np.flatnonzero(both & both.dtype.type(1 << c)).astype(np.int32)
+            pieces.append((row_of[link_i[links]], row_of[link_j[links]], links,
+                           np.searchsorted(links, n_up)))
+            rows += len(members[-1])
+        # Every component's uplinks first, as csr_layout takes the one-way
+        # edges: a row's arcs keep the order that a layout of its component
+        # alone gives them.
+        edge_i, edge_j, edge_ids = (
+            np.concatenate([p[k][:p[3]] for p in pieces] + [p[k][p[3]:] for p in pieces])
+            for k in range(3))
+        one_way = sum(p[3] for p in pieces)
+        both = row_of = pieces = None
+        link_of, indptr, indices = csr_layout(rows, edge_i, edge_j, one_way=one_way,
+                                              edge_ids=edge_ids)
+        edge_i = edge_j = edge_ids = None  # before the graph's data is allocated
+        first_row = dict(zip(self.targets, np.cumsum([0] + [len(m) for m in members]).tolist()))
         names = [self.nodes[k] for k in np.concatenate(members).tolist()]
         return _BlockGraph(self._csr(indptr, indices), link_of, first_row, names)
 

@@ -104,38 +104,50 @@ def trace_route(
     holds the latency of links v -> dst that the graph stores only as
     dst -> v (inf where there is none). node_ref names each node of the
     route. Returns None when dst is unreachable.
+
+    Every finite distance was set by a relaxation dist[u] = w(u,v) +
+    dist[v], so each node but dst has a tight neighbour v, w(u,v) + dist[v]
+    == dist[u]. The walk steps to the smallest tight neighbour strictly
+    closer to dst, which gives the lexicographically smallest equal-latency
+    node sequence. A link shorter than half an ulp of dist[u] (two
+    satellites a rounding error apart) leaves dist[v] == dist[u]; only
+    when no tight neighbour is closer does the walk take the smallest such
+    equal-distance one that is not yet on the path. So the walk never
+    turns back, and it raises RuntimeError rather than run on.
     """
     indptr, indices, weights = graph.indptr, graph.indices, graph.data
-    path = [src]
-    hops: list[float] = []
-    u = src
-    lo, hi = indptr[u], indptr[u + 1]
-    du = (weights[lo:hi] + dist[indices[lo:hi]]).min() if hi > lo else math.inf
+    dist_of = dist.item
+
+    def row(u: int):
+        lo, hi = indptr[u], indptr[u + 1]
+        return zip(indices[lo:hi].tolist(), weights[lo:hi].tolist())
+
+    du = min((w + dist_of(v) for v, w in row(src)), default=math.inf)
     if du == math.inf:
         return None
-
-    # Every finite distance was set by a relaxation dist[u] = w(u,v) +
-    # dist[v], so an eligible neighbor always exists and distances strictly
-    # decrease (weights are positive) until dst. Taking the smallest
-    # eligible node index at each step yields the lexicographically
-    # smallest equal-latency node sequence.
+    path, hops, u = [src], [], src
     while u != dst:
-        lo, hi = indptr[u], indptr[u + 1]
-        nbrs = indices[lo:hi]
-        w = weights[lo:hi]
-        ok = np.flatnonzero(w + dist[nbrs] == du)
-        v = None
-        if len(ok):
-            k = ok[np.argmin(nbrs[ok])]
-            v, hop = int(nbrs[k]), float(w[k])
-        if into_dst is not None and into_dst[u] == du and (v is None or dst < v):
-            v, hop = dst, float(into_dst[u])
-        if v is None:  # pragma: no cover - excluded by the invariant above
-            raise RuntimeError("route reconstruction lost the shortest-path trail")
+        if len(path) > len(dist):
+            raise RuntimeError("route reconstruction ran longer than the graph")
+        v = tie = None
+        for x, w in row(u):
+            dx = dist_of(x)
+            if w + dx != du:
+                continue
+            if dx < du:
+                if v is None or x < v:
+                    v, hop = x, w
+            elif (tie is None or x < tie) and x not in path:
+                tie, tie_hop = x, w
+        if into_dst is not None and into_dst.item(u) == du and (v is None or dst < v):
+            v, hop = dst, into_dst.item(u)
+        if v is None:
+            if tie is None:
+                raise RuntimeError("route reconstruction lost the shortest-path trail")
+            v, hop = tie, tie_hop
         path.append(v)
         hops.append(hop)
-        u = v
-        du = dist[u]
+        u, du = v, dist_of(v)
     return Route(nodes=tuple(node_ref(idx) for idx in path), total_latency_s=math.fsum(hops))
 
 

@@ -14,7 +14,8 @@ Walker grid) therefore runs once per block, with the range widened by the
 first bound. On one shell the elevation angle falls monotonically
 with slant range, sin el = (r^2 - R^2 - d^2) / (2 R d), so each station
 keeps the cone of satellites within the slant range of its mask widened by
-the second bound; route budgets may prune both (see LinkCandidates). Each
+the second bound; route budgets, held against the least path length over
+the shell, may prune both (see LinkCandidates). Each
 slot of the block then measures only the candidates and applies the exact
 predicates: pair_lengths <= reach and elevation >= mask. build_snapshot
 takes the one-slot case, a block of span 0 built and measured at the same
@@ -191,9 +192,40 @@ def mask_slant_km(constellation: Constellation, min_elevation_deg: float) -> flo
 def route_budget_km(constellation: Constellation, src: GeodeticPoint, dst: GeodeticPoint,
                     params: TopologyParams) -> float:
     """Path length, km, of the shell arc above the great circle from src to
-    dst plus an uplink and a downlink at the mask's slant range."""
+    dst plus an uplink and a downlink at the mask's slant range: a route
+    this long or shorter keeps inside the satellites that
+    shell_path_floor_km admits (see LinkCandidates)."""
     return (great_circle_distance(src, dst, constellation.radius_km)
             + 2.0 * mask_slant_km(constellation, params.min_elevation_deg))
+
+
+def shell_path_floor_km(constellation: Constellation, reach_km: float, min_elevation_deg: float,
+                        range_km: np.ndarray) -> np.ndarray:
+    """Least length, km, of any route from a station to a satellite at the
+    given straight-line ranges from it, over uplinks at or above the mask
+    and laser links at most reach_km long.
+
+    With R the Earth radius, r the shell radius and phi the central angle
+    from the station to the satellite: a laser link spans a central angle of
+    at most alpha = 2 asin(reach / 2r), so it is at least k r times its
+    angle, k = sin(alpha/2) / (alpha/2). A route whose uplink spans psi <=
+    phi is at least d(psi) + k r (phi - psi) long, d(psi) being the uplink
+    length. That is convex in psi (its slope r (sin eta - k) rises with the
+    nadir angle eta, sin eta = R sin psi / d), so it is least at psi_c, the
+    smaller of the mask's angle and the angle where sin eta = k: the angle
+    of elevation e_c = max(mask, acos(k r / R)). Up to psi_c the floor is
+    the range itself; past it, d(psi_c) + k r (phi - psi_c). It never
+    changes faster than r per radian of phi.
+    """
+    earth_r, r = constellation.constants.earth_radius_km, constellation.radius_km
+    half = math.asin(min(1.0, reach_km / (2.0 * r)))
+    k = math.sin(half) / half
+    elevation = max(math.radians(min_elevation_deg), math.acos(min(1.0, k * r / earth_r)))
+    psi_c = math.pi / 2.0 - elevation - math.asin(earth_r * math.cos(elevation) / r)
+    d_c = mask_slant_km(constellation, math.degrees(elevation))
+    phi = np.arccos(np.clip((earth_r * earth_r + r * r - range_km * range_km)
+                            / (2.0 * earth_r * r), -1.0, 1.0))
+    return np.where(range_km <= d_c, range_km, d_c + k * r * (phi - psi_c))
 
 
 def _station_xyz(station: GeodeticPoint, t: float, constants) -> np.ndarray:
@@ -211,20 +243,25 @@ class LinkCandidates:
     follow (see the module docstring for the bounds that size both). at(t)
     measures the links at any t of the block.
 
-    Each of the budgets (a, b, L = c * B) prunes: a route of latency <= B
-    from station a to b has every node x in the ellipsoid |x - a| + |x - b|
-    <= L, so only the satellites within L * (1 + _CONE_MARGIN) + 2 * drift of
-    it at t0 are kept (drift is the cones' motion bound). kept_by_budget
-    holds each budget's mask, and `kept` their union; the satellites
-    outside it keep no candidate. `pruned` says whether any went. Routes
-    from a to b on any graph that holds budget (a, b)'s kept satellites
-    and their candidates are exact if their latency R <= B: the full
-    optimum is <= R, and every full route that fast lies in those
-    satellites, so both graphs share their optimal routes. A node's csgraph
-    distance is the least float path sum over its paths, so every node that
-    trace_route finds tight gets the same float in both; one whose shortest
-    path leaves the ellipsoid is slower by far more than rounding and tight
-    in neither.
+    Each of the budgets (a, b, L = c * B) prunes. No route goes through
+    the Earth, so a route from station a to b through satellite x is at
+    least floor_a(x) + floor_b(x) long, floor being shell_path_floor_km at
+    x's range from each station. Only the satellites whose floors at t0
+    sum to at most L * (1 + _CONE_MARGIN) + 2 (v + omega_E r) span_s are
+    kept: over the block the central angle from a station to a satellite
+    moves by at most (v / r + omega_E) span_s, and a floor by at most r
+    times that. (For Toronto-Sydney's first 10-slot block this keeps 450
+    satellites, where the straight-line ellipsoid |x - a| + |x - b| <= L of
+    Wagner & Willhalm, ESA 2003, keeps 1,017.) kept_by_budget holds each
+    budget's mask, and `kept` their union; the satellites outside it keep
+    no candidate. `pruned` says whether any went. Routes from a to b on any
+    graph that holds budget (a, b)'s kept satellites and their candidates
+    are exact if their latency R <= B: the full optimum is <= R, and every
+    full route that fast lies in those satellites, so both graphs share
+    their optimal routes. A node's csgraph distance is the least float path sum over its
+    paths, so every node that trace_route finds tight gets the same float
+    in both; one whose shortest path leaves the kept satellites is slower
+    by far more than rounding and tight in neither.
     """
 
     def __init__(
@@ -263,9 +300,15 @@ class LinkCandidates:
         self._xyz0 = constellation.positions_at(t0)
         ranges = [np.linalg.norm(self._xyz0 - _station_xyz(st, t0, constants), axis=1)
                   for st in self.stations]
-        drift = (constellation.speed_km_s + constants.earth_rotation_rate * earth_r) * span_s
-        self.kept_by_budget = [ranges[a] + ranges[b] <= budget_km * (1.0 + _CONE_MARGIN)
-                               + 2.0 * drift for a, b, budget_km in budgets]
+        spin = abs(constants.earth_rotation_rate)
+        drift = (constellation.speed_km_s + spin * earth_r) * span_s
+        floors = {s: shell_path_floor_km(constellation, self.reach, params.min_elevation_deg,
+                                         ranges[s]) for s in {s for b in budgets for s in b[:2]}}
+        # The central angle from a station to a satellite moves at most (v / r
+        # + omega_E) * span_s over the block, and each floor at most r times that.
+        slack = 2.0 * (constellation.speed_km_s + spin * constellation.radius_km) * span_s
+        self.kept_by_budget = [floors[a] + floors[b] <= budget_km * (1.0 + _CONE_MARGIN) + slack
+                               for a, b, budget_km in budgets]
         self.kept = np.logical_or.reduce(self.kept_by_budget, axis=0) if budgets \
             else np.ones(len(self._xyz0), bool)
         self.pruned = not self.kept.all()

@@ -1,6 +1,8 @@
+import contextlib
 import math
 import random
 import re
+import signal
 from heapq import heappop, heappush
 
 import numpy as np
@@ -87,6 +89,23 @@ def snapshot_from_edges(edges, nodes=(), c_vacuum: float = CONSTANTS.c_vacuum) -
         edge_dist_km=np.array(dist, dtype=float)[order],
         c_vacuum=c_vacuum,
     )
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once it has run for `seconds` of wall
+    time, so that a loop that never ends fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def links_at(candidates: LinkCandidates, t: float):
@@ -197,7 +216,8 @@ def random_snapshot(rng: random.Random, max_nodes: int = 10, max_edges: int = 20
 
 def heap_route(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> tuple[list[str], float] | None:
     """Reference router: pure-Python heap Dijkstra from dst, then a forward
-    walk taking the smallest eligible next-hop index.
+    walk taking the smallest tight next-hop index strictly closer to dst, or,
+    where none is closer, the smallest equal-distance one not yet on the path.
 
     Returns the route's node labels and its fsum latency in s, or None.
     This is the router leolat shipped before routing moved onto scipy's
@@ -225,7 +245,11 @@ def heap_route(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> tuple[list[s
     path, hops = [i_src], []
     u = i_src
     while u != i_dst:
-        v, w = min((v, w) for v, w in adj[u] if dist[u] == w + dist[v])
+        if len(path) > graph.n_nodes:
+            raise RuntimeError("route reconstruction ran longer than the graph")
+        tight = [(v, w) for v, w in adj[u] if dist[u] == w + dist[v]]
+        v, w = min([(v, w) for v, w in tight if dist[v] < dist[u]]
+                   or [(v, w) for v, w in tight if v not in path])
         path.append(v)
         hops.append(w)
         u = v

@@ -167,7 +167,7 @@ def pairs_within_int64(shell: Constellation, t: float, xyz: np.ndarray, chord_km
     e1 = _propagate(raan, zero, 0.0, 1.0, 0.0, shell._inc)
     e2 = _propagate(raan, zero + math.pi / 2.0, 0.0, 1.0, 0.0, shell._inc)
     a, b = u @ e1.T, u @ e2.T
-    rho = np.hypot(a, b)
+    rho = np.sqrt(a * a + b * b)
     row, q = np.nonzero((np.arange(cfg.num_planes) >= (sats // per_plane)[:, None])
                         & (rho >= c))
     a, b, rho = a[row, q], b[row, q], rho[row, q]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_edge_set, heap_route, snapshot_from_edges
+from conftest import brute_force_edge_set, deadline, heap_route, snapshot_from_edges
 from leolat import experiment, routing, topology
 from leolat.constellation import Constellation, ConstellationConfig
 from leolat.experiment import (
@@ -592,19 +592,23 @@ class TestSlotEngine:
         assert built == [0] * 4 + [1] * 6 + [2] * 10
         assert fallbacks == [0.0, 10.0]
 
-    def test_fifteen_exchange_pairs_keep_the_whole_shell(self, default_cfg):
-        # The ellipsoids of the fifteen pairs of the six exchanges hold the
-        # shell with over 800 km to spare: a run over them never prunes, so
-        # it checks no slot.
-        cities = list(EXCHANGE_COORDINATES)
-        scenarios = tuple(exchange_pair(a, b) for k, a in enumerate(cities) for b in cities[k + 1:])
+    def test_fifteen_exchange_pairs_prune_the_shell(self, default_cfg):
+        # Measured over the shell, the budgets of the fifteen pairs of the six
+        # exchanges keep about 1,320 of the 1,584 satellites at t = 0, and
+        # Dublin-Sydney's alone about 530. Every block is pruned, so a run
+        # over them checks every slot.
+        scenarios = fifteen_exchange_pairs()
         params = TopologyParams(min_elevation_deg=30.0)
         engine = experiment._SlotEngine(Run(default_cfg, params, scenarios=scenarios))
         times = [60.0 * k for k in range(30)] + [4000.0 + k for k in range(10)]
         blocks = list(topology.candidate_blocks(engine.constellation, engine.stations, times,
                                                 params, engine.budgets))
         assert len(blocks) == 31
-        assert not any(candidates.pruned for candidates, _ in blocks)
+        assert all(candidates.pruned for candidates, _ in blocks)
+        first, _ = blocks[0]
+        dublin_sydney = [sc.name for sc in scenarios].index("Dublin-Sydney")
+        assert 1250 < first.kept.sum() < 1400
+        assert 450 < first.kept_by_budget[dublin_sydney].sum() < 600
 
     def test_no_scenarios(self, default_cfg):
         assert run_scenarios(Run(default_cfg, TopologyParams(), scenarios=(), duration_s=5)) == []
@@ -618,7 +622,7 @@ class TestSlotEngine:
         candidates, _ = next(topology.candidate_blocks(
             engine.constellation, engine.stations, [float(t) for t in range(10)], engine.params,
             engine.budgets))
-        block = engine._layout(candidates)
+        block = engine._layout(candidates, 10)
         graph, n_st = block.graph, len(engine.stations)
         assert candidates.pruned and sorted(block.first_row) == engine.targets == [1, 3, 5]
         bounds = sorted(block.first_row.values()) + [graph.shape[0]]
@@ -654,15 +658,22 @@ class TestSlotEngine:
         assert all(len(rows) == 3 for rows in searches)
         assert (fallbacks == []) == (scale == 1.0)
 
-    def test_unpruned_blocks_keep_the_single_graph(self, default_cfg):
-        cities = list(EXCHANGE_COORDINATES)
-        scenarios = tuple(exchange_pair(a, b) for k, a in enumerate(cities) for b in cities[k + 1:])
+    @pytest.mark.parametrize("budgets", ["whole-shell", "fallback", "one-slot"])
+    def test_single_graph_where_components_would_not_pay(self, default_cfg, budgets):
+        # Budgets that keep the whole shell, the fallback's candidates, and a
+        # one-slot block of the fifteen pairs, where Sydney's scenarios keep
+        # so much of the union that its component would cost more than it
+        # saves: each block lays out the one graph over every node.
         params = TopologyParams(min_elevation_deg=30.0)
-        engine = experiment._SlotEngine(Run(default_cfg, params, scenarios=scenarios))
-        for candidates, _ in topology.candidate_blocks(engine.constellation, engine.stations,
-                                                       [0.0, 600.0], params, engine.budgets):
-            assert not candidates.pruned
-            block = engine._layout(candidates)
+        engine = experiment._SlotEngine(Run(default_cfg, params,
+                                            scenarios=fifteen_exchange_pairs()))
+        kept = {"whole-shell": [(src, dst, 1e6) for src, dst in engine.queries],
+                "fallback": [], "one-slot": engine.budgets}[budgets]
+        for t in (0.0, 600.0):
+            candidates = topology.LinkCandidates(engine.constellation, engine.stations, t, 0.0,
+                                                 params, kept)
+            assert candidates.pruned == (budgets == "one-slot")
+            block = engine._layout(candidates, 1)
             want = routing.csr_layout(len(engine.nodes), candidates.link_i, candidates.link_j,
                                       one_way=candidates.cone_ptr[-1])
             for got, expected in zip((block.link_of, block.graph.indptr, block.graph.indices),
@@ -670,6 +681,34 @@ class TestSlotEngine:
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
             assert block.names is engine.nodes
             assert block.first_row == dict.fromkeys(engine.targets, 0)
+
+    def test_components_where_every_destination_gains(self, default_cfg):
+        # Ten slots share the block: each of the five destinations searches a
+        # component of its own scenarios' satellites.
+        params = TopologyParams(min_elevation_deg=30.0)
+        engine = experiment._SlotEngine(Run(default_cfg, params,
+                                            scenarios=fifteen_exchange_pairs()))
+        candidates = topology.LinkCandidates(engine.constellation, engine.stations, 0.0, 9.0,
+                                             params, engine.budgets)
+        block = engine._layout(candidates, 10)
+        n_st = len(engine.stations)
+        bounds = [block.first_row[dst] for dst in engine.targets] + [block.graph.shape[0]]
+        assert bounds == sorted(bounds) and len(engine.targets) == 5
+        for dst, first, last in zip(engine.targets, bounds, bounds[1:]):
+            kept = np.logical_or.reduce([k for (_, d), k in zip(engine.queries,
+                                                                 candidates.kept_by_budget)
+                                         if d == dst])
+            union, own = candidates.kept.sum(), kept.sum()
+            assert (union - own) * 10 >= own
+            assert block.names[first:last] == engine.nodes[:n_st] + [
+                engine.nodes[n_st + k] for k in np.flatnonzero(kept)]
+            columns = block.graph.indices[block.graph.indptr[first]:block.graph.indptr[last]]
+            assert ((first <= columns) & (columns < last)).all()
+
+
+def fifteen_exchange_pairs() -> tuple[Scenario, ...]:
+    cities = list(EXCHANGE_COORDINATES)
+    return tuple(exchange_pair(a, b) for k, a in enumerate(cities) for b in cities[k + 1:])
 
 
 def oracle_routes(shell: Constellation, scenarios, t: float, params: TopologyParams):
@@ -744,6 +783,24 @@ def oracle_cases(draw):
               scenarios=tuple(Scenario(f"pair {k}", points[x], points[y])
                               for k, (x, y) in enumerate(ends)))
     return run, draw(st.floats(0.1, 1.0), label="budget scale")
+
+
+def test_coincident_satellites_end_the_route_walk():
+    # Planes 180 degrees apart of this shell meet at the nodes, 1e-12 km
+    # apart, and a link between two such satellites is below half an ulp of
+    # the route's latency. The route walk once ran back and forth between
+    # them here without end.
+    run = Run(ConstellationConfig(num_planes=4, sats_per_plane=4),
+              TopologyParams(lisl_range_km=11_759.24, min_elevation_deg=0.0,
+                             occlusion_check=False),
+              scenarios=(Scenario("coincident", GeodeticPoint(16.4354, -82.8768, "A"),
+                                  GeodeticPoint(-55.0832, -174.0501, "B")),),
+              duration_s=1)
+    with deadline(30.0):
+        ((routes, _),) = run_scenarios(run)
+        want = oracle_routes(Constellation(run.constellation), run.scenarios, 0.0, run.topology)
+    assert routes[0] is not None
+    assert [(routes[0].labels(), routes[0].total_latency_s)] == want
 
 
 # A shell with bit-equal route latencies at epoch 0 inside the pruned

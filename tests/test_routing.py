@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     KM_PER_MS,
     adjacency,
+    deadline,
     edge_set,
     enumerate_paths_oracle,
     heap_route,
@@ -208,6 +209,21 @@ class TestOracle:
             enumerate_paths_oracle(g, nodes[0], nodes[12])
         with pytest.raises(ValueError):
             enumerate_paths_oracle(g, nodes[0], nodes[1], max_nodes=13)
+
+
+def test_walk_steps_past_a_link_below_half_an_ulp():
+    # a and b are a rounding error apart: dist[a] == dist[b], so each is a
+    # tight neighbour of the other, and both number below c, the true next
+    # hop. A walk that took the smallest tight neighbour ran a, b, a, ...
+    km = 1e-20
+    src, a, b, c, dst = ground("s", "a", "b", "c", "d")
+    graph = snapshot_from_edges([(src, a, KM_PER_MS), (src, b, 2 * KM_PER_MS), (a, b, km),
+                                 (a, c, KM_PER_MS), (b, c, KM_PER_MS), (c, dst, KM_PER_MS)])
+    with deadline(5.0):
+        route = shortest_path(graph, src, dst)
+        reference = heap_route(graph, src, dst)
+    assert route.labels() == reference[0] == ["s", "a", "c", "d"]
+    assert route.total_latency_s == reference[1] == pytest.approx(3e-3, rel=1e-12)
 
 
 class TestRoutesOnConstellation:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,12 @@ from leolat.topology import (
 )
 
 STATIONS = [GeodeticPoint(40.7, -74.0, "NY"), GeodeticPoint(53.3, -6.3, "Dub")]
+LONDON_DUBLIN = [GeodeticPoint(51.5, -0.1, "London"), GeodeticPoint(53.3, -6.3, "Dub")]
+TORONTO_SYDNEY = [GeodeticPoint(43.65, -79.38, "Tor"), GeodeticPoint(-33.87, 151.21, "Syd")]
+# Links so long that k < R cos(mask) / r (see topology.shell_path_floor_km):
+# the least route to a far satellite climbs steeper than the mask and turns
+# onto the shell before the mask's angle.
+LONG_LINKS = TopologyParams(lisl_range_km=12_000.0, min_elevation_deg=0.0, occlusion_check=False)
 
 
 def link_class(a: str, b: str, num_planes: int) -> int:
@@ -302,17 +310,24 @@ class TestLinkCandidates:
                     assert link_labels(links_at(candidates, t), small_constellation, STATIONS) \
                         == brute_force_edge_set(small_constellation, STATIONS, t, params), (t, r)
 
-    @pytest.mark.parametrize("stations", [STATIONS, [GeodeticPoint(51.5, -0.1, "London"),
-                                                     GeodeticPoint(53.3, -6.3, "Dub")]],
-                             ids=["NY-Dub", "London-Dub"])
-    @pytest.mark.parametrize("lisl_range_km", [1500.0, 6000.0])
-    def test_budget_keeps_every_route_within_it_over_an_orbit(self, lisl_range_km, stations):
+    @pytest.mark.parametrize("params, stations", [
+        pytest.param(params, stations, id=f"{params_id}-{stations_id}")
+        for params, params_id in [(TopologyParams(lisl_range_km=1500.0), "1500.0"),
+                                  (TopologyParams(lisl_range_km=6000.0), "6000.0"),
+                                  (LONG_LINKS, "12000.0-mask-0-no-occlusion")]
+        for stations, stations_id in [(STATIONS, "NY-Dub"), (LONDON_DUBLIN, "London-Dub")]
+    ] + [
+        # Routes half way round the shell over the long links: the shortest
+        # climb steeply to their first satellite, so a floor that turned onto
+        # the shell at the mask would drop their satellites.
+        pytest.param(LONG_LINKS, TORONTO_SYDNEY, id="12000.0-mask-0-no-occlusion-Tor-Syd"),
+    ])
+    def test_budget_keeps_every_route_within_it_over_an_orbit(self, params, stations):
         # Each route is also kept by the block pruned to its own length, the
-        # tightest budget that accepts it: a one-satellite route lies on that
-        # ellipsoid, and routes after t0 need the motion bound. 3 s slots
-        # make blocks of 4 slots spanning 9 s, as 1 s slots do.
+        # tightest budget that accepts it: a one-satellite route meets that
+        # bound, and routes after t0 need the motion bound. 3 s slots make
+        # blocks of 4 slots spanning 9 s, as 1 s slots do.
         shell = Constellation(self.ORBIT_SHELL)
-        params = TopologyParams(lisl_range_km=lisl_range_km)
         src, dst = (NodeRef.ground(st.label) for st in stations)
         km_per_s = shell.constants.c_vacuum / 1000.0
         budget_km = route_budget_km(shell, *stations, params)
@@ -377,6 +392,50 @@ class TestLinkCandidates:
         for t in (9.0, 15.5):
             with pytest.raises(ValueError, match="outside the block"):
                 candidates.at(t)
+
+
+@st.composite
+def floor_cases(draw):
+    """A shell, link rules, a station and an instant."""
+    planes = draw(st.integers(3, 24), label="planes")
+    shell = Constellation(ConstellationConfig(
+        num_planes=planes,
+        sats_per_plane=draw(st.integers(3, 40), label="sats_per_plane"),
+        altitude_km=draw(st.floats(300.0, 1500.0), label="altitude"),
+        inclination_deg=draw(st.floats(30.0, 110.0), label="inclination"),
+        phase_factor=draw(st.integers(0, planes - 1), label="phase_factor")))
+    params = TopologyParams(
+        lisl_range_km=draw(st.floats(500.0, 14_000.0), label="range"),
+        min_elevation_deg=draw(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 60.0), label="mask"),
+        occlusion_check=draw(st.booleans(), label="occlusion"))
+    station = GeodeticPoint(draw(st.floats(-90.0, 90.0), label="latitude"),
+                            draw(st.floats(-180.0, 180.0), label="longitude"), "S")
+    return shell, params, station, draw(st.floats(0.0, 6000.0), label="t")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=floor_cases())
+# Long links and a mask of 0: routes to far satellites climb steeper than the
+# mask, and a floor that turned onto the shell at the mask would exceed them.
+@example(case=(Constellation(ConstellationConfig(phase_factor=11)), LONG_LINKS,
+               GeodeticPoint(40.7, -74.0, "S"), 0.0))
+def test_shell_path_floor_never_exceeds_the_shortest_route(case):
+    # The shortest route from the station to every satellite over the links
+    # of one instant, uplinks leaving the station only.
+    shell, params, station, t = case
+    candidates = LinkCandidates(shell, [station], t, 0.0, params)
+    edge_i, edge_j, dist = links_at(candidates, t)
+    laser = edge_i > 0
+    n = 1 + len(shell)
+    graph = csr_matrix((np.concatenate([dist, dist[laser]]),
+                        (np.concatenate([edge_i, edge_j[laser]]),
+                         np.concatenate([edge_j, edge_i[laser]]))), shape=(n, n))
+    shortest = dijkstra(graph, indices=0)[1:]
+    ranges = np.linalg.norm(shell.positions_at(t) - geodetic_to_inertial(station, t), axis=1)
+    floor = topology.shell_path_floor_km(shell, candidates.reach, params.min_elevation_deg,
+                                         ranges)
+    routed = np.isfinite(shortest)
+    assert (floor[routed] <= shortest[routed] * (1.0 + 1e-9)).all()
 
 
 class TestOneInRangePredicate:
