@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -33,7 +34,7 @@ from .geo import (
     check_number,
     great_circle_distance,
 )
-from .routing import Route, csr_layout, distances_from, link_latencies, trace_route
+from .routing import Route, csr_layout, find_routes, link_latencies
 from .topology import LinkCandidates, NodeRef, TopologyParams, candidate_blocks, route_budget_km
 
 # Reproduction defaults. Neither the shell's inter-plane phasing nor the
@@ -229,9 +230,9 @@ class _SlotEngine:
     The graph is directed. Each distinct station has one row, holding only
     its uplinks; satellite rows follow and hold the laser links, one entry
     per direction. No edge enters a station, so no scenario's station can
-    relay another scenario's route. One Dijkstra call per slot, from the
-    destination rows along their uplinks, gives every satellite's latency
-    to each destination.
+    relay another scenario's route. routing.find_routes searches once per
+    slot from the destination rows along their uplinks, and its walk reads
+    a satellite's downlink from the destination's row.
 
     The slots of one topology.candidate_blocks block share one
     LinkCandidates set, and the graph's CSR layout (indptr and indices)
@@ -358,7 +359,7 @@ class _SlotEngine:
     def _route(self, block: _BlockGraph, dist_km: np.ndarray,
                is_link: np.ndarray) -> list[Route | None]:
         graph, link_of, first_row, names = block
-        data, indptr = graph.data, graph.indptr
+        data = graph.data
         lat = link_latencies(dist_km, self.constellation.constants.c_vacuum, out=dist_km)
         lat[~is_link] = np.inf
         # In chunks: np.take copies int32 indices to intp, and a copy of
@@ -366,23 +367,29 @@ class _SlotEngine:
         for lo in range(0, len(data), _TAKE_CHUNK):
             hi = lo + _TAKE_CHUNK
             np.take(lat, link_of[lo:hi], out=data[lo:hi], mode="clip")
-        # Each satellite's downlink latency to a destination is the
-        # destination's uplink read backwards.
-        rows = [first_row[dst] + dst for dst in self.targets]
-        towards = {}
-        for dst, row, dist in zip(self.targets, rows, distances_from(graph, rows)):
-            lo, hi = indptr[row], indptr[row + 1]
-            into_dst = np.full(len(names), np.inf)
-            into_dst[graph.indices[lo:hi]] = data[lo:hi]
-            towards[dst] = dist, into_dst
-        return [trace_route(graph, towards[dst][0], first_row[dst] + src, first_row[dst] + dst,
-                            names.__getitem__, towards[dst][1])
-                for src, dst in self.queries]
+        return find_routes(graph, [(first_row[dst] + src, first_row[dst] + dst)
+                                   for src, dst in self.queries], names.__getitem__)
+
+
+_stop = threading.Event()
+
+
+def _join_pool(stop) -> None:
+    """A pool process's initializer: keep as _stop the signal that the
+    calling process sets when it fails. Elsewhere _stop is never set."""
+    global _stop
+    _stop = stop
 
 
 def _route_block(run: Run, times: Sequence[float]) -> list[list[Route | None]]:
-    """A pool's task: each scenario's route at each of the ascending times."""
-    return list(_SlotEngine(run).route_slots(times))
+    """A pool's task: each scenario's route at each of the ascending times.
+    It raises RuntimeError after the slot in which _stop is set."""
+    routes = []
+    for slot in _SlotEngine(run).route_slots(times):
+        if _stop.is_set():
+            raise RuntimeError("stopped: the calling process failed")
+        routes.append(slot)
+    return routes
 
 
 def usable_cores() -> int:
@@ -401,7 +408,8 @@ def run_scenarios(run: Run, workers: int = 1) -> list[tuple[list[Route | None], 
     max(1, min(workers, usable_cores(), n_slots // 2)) contiguous chunks:
     workers counts this process. It routes the first chunk while a pool of
     P - 1 processes routes the rest, merged back in slot order; after each
-    of its slots it re-raises the first failure of the pool's chunks.
+    of its slots it re-raises the first failure of the pool's chunks. When
+    this process fails, the pool's chunks stop after the slot they route.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -412,22 +420,28 @@ def run_scenarios(run: Run, workers: int = 1) -> list[tuple[list[Route | None], 
         procs = max(1, min(workers, usable_cores(), n_slots // 2))
         bounds = [(n_slots * w) // procs for w in range(procs + 1)]
         chunks = [times[bounds[w]:bounds[w + 1]] for w in range(procs)]
-        pool = contextlib.nullcontext()  # one process: chunks[1:] is empty
+        pool, stop = contextlib.nullcontext(), threading.Event()  # one process: no pool to stop
         if procs > 1:
             # Load the routing kernel before the fork, so that the pool
             # inherits it, and fork before this process holds any routing memory.
             importlib.import_module("scipy.sparse.csgraph")
+            stop = importlib.import_module("multiprocessing").Event()
             # Read through the module: see __getattr__.
-            pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=procs - 1)
+            pool = sys.modules[__name__].ProcessPoolExecutor(
+                max_workers=procs - 1, initializer=_join_pool, initargs=(stop,))
         with pool:
             parts = [pool.submit(_route_block, run, chunk) for chunk in chunks[1:]]
-            for routes in _SlotEngine(run).route_slots(chunks[0]):
-                per_slot.append(routes)
+            try:
+                for routes in _SlotEngine(run).route_slots(chunks[0]):
+                    per_slot.append(routes)
+                    for part in parts:
+                        if part.done() and part.exception() is not None:
+                            raise part.exception()
                 for part in parts:
-                    if part.done() and part.exception() is not None:
-                        raise part.exception()
-            for part in parts:
-                per_slot.extend(part.result())
+                    per_slot.extend(part.result())
+            finally:
+                # After the merge no chunk runs; after a failure each stops.
+                stop.set()
     per_scenario = [[slot[q] for slot in per_slot] for q in range(len(run.scenarios))]
     return [(routes, summarize(sc, routes, run.constants))
             for sc, routes in zip(run.scenarios, per_scenario)]

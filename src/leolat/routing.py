@@ -3,16 +3,17 @@
 Dijkstra over positive weights, made fully deterministic: among
 equal-latency shortest paths the route with the lexicographically
 smallest node sequence (ground stations before satellites, then by
-label) is returned. Distances are computed from the destination with
-scipy's C Dijkstra, and the route is rebuilt forward from the source,
-greedily taking the smallest eligible next hop at each step.
+label) is returned. find_routes computes the distances to every
+destination with one call of scipy's C Dijkstra, and trace_route rebuilds
+each route forward from its source, greedily taking the smallest eligible
+next hop at each step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -76,34 +77,30 @@ def csr_layout(
     return order.astype(np.int32), indptr, indices
 
 
-def distances_from(graph: csr_matrix, sources) -> np.ndarray:
-    """Shortest-path latencies from each source along the graph's edges.
-
-    Where every link the search can reach is stored in both directions,
-    these are also the latencies towards the source.
-    """
+def find_routes(graph: csr_matrix, queries: Sequence[tuple[int, int]],
+                node_ref: Callable[[int], NodeRef]) -> list[Route | None]:
+    """Each (src, dst) query's latency-minimal route between rows of the
+    graph, or None: one csgraph Dijkstra call from the distinct
+    destinations along the stored edges, which must hold each link both
+    ways or as dst's own, then one trace_route walk per query."""
     # Imported here: csgraph pulls in scipy.sparse.linalg, which costs tens
     # of ms at start-up for commands that never route.
     from scipy.sparse.csgraph import dijkstra
 
-    return dijkstra(graph, directed=True, indices=sources)
+    rows = sorted({dst for _, dst in queries})
+    dist = dict(zip(rows, dijkstra(graph, directed=True, indices=rows)))
+    return [trace_route(graph, dist[dst], src, dst, node_ref) for src, dst in queries]
 
 
-def trace_route(
-    graph: csr_matrix,
-    dist: np.ndarray,
-    src: int,
-    dst: int,
-    node_ref: Callable[[int], NodeRef],
-    into_dst: np.ndarray | None = None,
-) -> Route | None:
+def trace_route(graph: csr_matrix, dist: np.ndarray, src: int, dst: int,
+                node_ref: Callable[[int], NodeRef]) -> Route | None:
     """Forward walk from src to dst over the distances to dst.
 
     dist[v] is the latency from v to dst; src's own entry is not read, so
-    src may be a node the search could not reach. into_dst, when given,
-    holds the latency of links v -> dst that the graph stores only as
-    dst -> v (inf where there is none). node_ref names each node of the
-    route. Returns None when dst is unreachable.
+    src may be a node the search could not reach. The walk reads dst's own
+    row once, for links v -> dst past src that the graph stores only as dst
+    -> v, as a station's uplinks. node_ref names each node of the route.
+    Returns None when dst is unreachable.
 
     Every finite distance was set by a relaxation dist[u] = w(u,v) +
     dist[v], so each node but dst has a tight neighbour v, w(u,v) + dist[v]
@@ -125,6 +122,7 @@ def trace_route(
     du = min((w + dist_of(v) for v, w in row(src)), default=math.inf)
     if du == math.inf:
         return None
+    into_dst = dict(row(dst))
     path, hops, u = [src], [], src
     while u != dst:
         if len(path) > len(dist):
@@ -139,8 +137,8 @@ def trace_route(
                     v, hop = x, w
             elif (tie is None or x < tie) and x not in path:
                 tie, tie_hop = x, w
-        if into_dst is not None and into_dst.item(u) == du and (v is None or dst < v):
-            v, hop = dst, into_dst.item(u)
+        if into_dst.get(u) == du and (v is None or dst < v):
+            v, hop = dst, du
         if v is None:
             if tie is None:
                 raise RuntimeError("route reconstruction lost the shortest-path trail")
@@ -160,12 +158,10 @@ def shortest_path(graph: SnapshotGraph, src: NodeRef, dst: NodeRef) -> Route | N
     """
     if src == dst:
         raise ValueError("src and dst must differ")
-    i_src = graph.index_of(src)
-    i_dst = graph.index_of(dst)
-
+    query = (graph.index_of(src), graph.index_of(dst))
     n = graph.n_nodes
     edge_of, indptr, indices = csr_layout(n, graph.edge_i, graph.edge_j)
     lat = link_latencies(graph.edge_dist_km, graph.c_vacuum)
     csr = csr_matrix((lat[edge_of], indices, indptr), shape=(n, n))
-    return trace_route(csr, distances_from(csr, i_dst), i_src, i_dst, graph.node_ref)
+    return find_routes(csr, [query], graph.node_ref)[0]
 

@@ -258,10 +258,10 @@ class LinkCandidates:
     graph that holds budget (a, b)'s kept satellites and their candidates
     are exact if their latency R <= B: the full optimum is <= R, and every
     full route that fast lies in those satellites, so both graphs share
-    their optimal routes. A node's csgraph distance is the least float path sum over its
-    paths, so every node that trace_route finds tight gets the same float
-    in both; one whose shortest path leaves the kept satellites is slower
-    by far more than rounding and tight in neither.
+    their optimal routes. A node's csgraph distance is the least float
+    path sum over its paths, so every node that the route walk finds tight
+    gets the same float in both; one whose shortest path leaves the kept
+    satellites is slower by far more than rounding and tight in neither.
     """
 
     def __init__(

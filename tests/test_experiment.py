@@ -126,7 +126,7 @@ class InlinePool:
 
     failure: Exception | None = None
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **initializer):
         self.max_workers = max_workers
         self.tasks = []
 
@@ -262,7 +262,7 @@ class TestRunScenario:
         # process routes the second and this process the first.
         pools, routed = [], []
 
-        def pool(max_workers):
+        def pool(max_workers, **initializer):
             pools.append(InlinePool(max_workers))
             return pools[-1]
 
@@ -336,6 +336,32 @@ class TestRunScenario:
         ((pid, t),) = map(str.split, log.read_text().splitlines())
         assert routed == [(os.getpid(), 0)]
         assert float(t) == 4 and int(pid) != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_failure_here_stops_the_pool_after_its_slot(self, default_cfg, monkeypatch, tmp_path,
+                                                         two_cores):
+        # This process fails in its first slot. A real pool of one process
+        # logs each slot it routes to a file; it stops once the failure has
+        # set the pool's stop signal, long before its 600-slot chunk is done.
+        log = tmp_path / "slots.txt"
+        log.touch()
+        caller = os.getpid()
+
+        def spy(engine, times):
+            if os.getpid() == caller:
+                raise RuntimeError("this process failed")
+            for t, routes in zip(times, ROUTE_SLOTS(engine, times)):
+                with open(log, "a") as f:
+                    f.write(f"{t}\n")
+                yield routes
+
+        monkeypatch.setattr(experiment._SlotEngine, "route_slots", spy)
+        with pytest.raises(RuntimeError, match="this process failed"):
+            run_scenarios(Run(default_cfg, TopologyParams(), scenarios=ONE_PAIR,
+                              duration_s=1200), workers=2)
+        routed = [float(t) for t in log.read_text().split()]
+        assert routed == [600.0 + k for k in range(len(routed))]
+        assert len(routed) < 600
         assert multiprocessing.active_children() == []
 
     def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
@@ -644,13 +670,13 @@ class TestSlotEngine:
         monkeypatch.setattr(experiment, "route_budget_km", lambda *a: budget_km(*a) * scale)
         fallbacks = spy_fallbacks(monkeypatch)
         searches = []
-        search = experiment.distances_from
+        search = experiment.find_routes
 
-        def spy(graph, rows):
-            searches.append(list(rows))
-            return search(graph, rows)
+        def spy(graph, queries, node_ref):
+            searches.append({dst for _, dst in queries})
+            return search(graph, queries, node_ref)
 
-        monkeypatch.setattr(experiment, "distances_from", spy)
+        monkeypatch.setattr(experiment, "find_routes", spy)
         run_scenarios(Run(duration_s=25))
         # One search per slot from the three destinations' rows, and one
         # more for each slot routed again on the unpruned candidates.
@@ -739,20 +765,30 @@ def oracle_routes(shell: Constellation, scenarios, t: float, params: TopologyPar
 
 @st.composite
 def oracle_cases(draw):
-    """A run and a scale for its route budgets. Scenarios a -> b and c -> b
-    share a destination, and b -> c starts at one, so the destinations'
-    components differ and overlap. Scales down to a tenth make slots fall
-    back to the unpruned candidates."""
-    planes = draw(st.integers(3, 8), label="planes")
+    """A run, a scale for its route budgets, and None or a factor over each
+    scenario's oracle route that replaces its budget. Scenarios a -> b and
+    c -> b share a destination, and b -> c starts at one, so the
+    destinations' components differ and overlap. Scales down to a tenth
+    make slots fall back to the unpruned candidates; budgets just over a
+    route put the pruning bound right at the route.
+
+    A coincident shell has an even plane count P, and S and F of one
+    parity: at t = 0 two satellites of planes 180 degrees apart meet at
+    the first plane's ascending node, and station b stands under it."""
+    coincident = draw(st.sampled_from([False, False, True]), label="coincident shell")
+    planes = draw(st.sampled_from([4, 6, 8]) if coincident else st.integers(3, 8), label="planes")
+    per_plane = draw(st.integers(3, 22), label="sats_per_plane")
+    phases = range(per_plane % 2, planes, 2) if coincident else range(planes)
     cfg = ConstellationConfig(
         num_planes=planes,
-        sats_per_plane=draw(st.integers(3, 22), label="sats_per_plane"),
+        sats_per_plane=per_plane,
         altitude_km=draw(st.floats(300.0, 1500.0), label="altitude"),
         inclination_deg=draw(st.sampled_from([53.0]) | st.floats(30.0, 110.0),
                              label="inclination"),
         raan0_deg=draw(st.sampled_from([0.0]) | st.floats(0.0, 360.0), label="raan0"),
-        phase_factor=draw(st.integers(0, planes - 1), label="phase_factor"),
-        epoch=draw(st.sampled_from([0.0]) | st.floats(0.0, 6000.0), label="epoch"),
+        phase_factor=draw(st.sampled_from(phases), label="phase_factor"),
+        epoch=0.0 if coincident else draw(st.sampled_from([0.0]) | st.floats(0.0, 6000.0),
+                                          label="epoch"),
     )
     shell = Constellation(cfg)
     spacing = 2.0 * shell.radius_km * math.sin(math.pi / cfg.sats_per_plane)
@@ -771,6 +807,8 @@ def oracle_cases(draw):
                             draw(st.floats(-180.0, 180.0), label=f"S{k} longitude"), f"S{k}")
               for k in range(n_points)]
     a, b, c, *_ = draw(st.permutations(range(n_points)), label="a, b, c")
+    if coincident:
+        points[b] = GeodeticPoint(0.0, (cfg.raan0_deg + 180.0) % 360.0 - 180.0, f"S{b}")
     ends = [(a, b), (c, b), (b, c)] + draw(
         st.lists(st.permutations(range(n_points)).map(lambda p: (p[0], p[1])), max_size=1),
         label="another pair")
@@ -782,7 +820,8 @@ def oracle_cases(draw):
     run = Run(cfg, params, duration_s=n_slots * slot_s, slot_s=slot_s,
               scenarios=tuple(Scenario(f"pair {k}", points[x], points[y])
                               for k, (x, y) in enumerate(ends)))
-    return run, draw(st.floats(0.1, 1.0), label="budget scale")
+    return (run, draw(st.floats(0.1, 1.0), label="budget scale"),
+            draw(st.none() | st.floats(1.0, 1.2), label="budget over the oracle route"))
 
 
 def test_coincident_satellites_end_the_route_walk():
@@ -809,18 +848,47 @@ TIED_RUN = Run(ConstellationConfig(num_planes=6, sats_per_plane=22, phase_factor
                TopologyParams(lisl_range_km=4000.0, min_elevation_deg=30.0), duration_s=2)
 
 
+# A route over the long links of test_topology's LONG_LINKS that climbs
+# steeply to its first satellite. With its budget 1.003 times the route, a
+# floor that turned onto the shell at the mask would drop that satellite and
+# accept a route 1.0001 times as long. It is the Toronto-Sydney route of
+# test_topology's 8 x 12 shell at t = 239 s, moved to t = 0: the epoch puts
+# the satellites there, and the stations lie a degree east, where the Earth
+# has turned them by then.
+STEEP_RUN = Run(ConstellationConfig(num_planes=8, sats_per_plane=12, phase_factor=3, epoch=-239.0),
+                TopologyParams(lisl_range_km=12_000.0, min_elevation_deg=0.0,
+                               occlusion_check=False),
+                scenarios=(Scenario("steep", GeodeticPoint(43.65, -78.38, "Tor"),
+                                    GeodeticPoint(-33.87, 152.21, "Syd")),),
+                duration_s=1)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=oracle_cases())
-@example(case=(TIED_RUN, 1.0))
+@example(case=(TIED_RUN, 1.0, None))
+@example(case=(STEEP_RUN, 1.0, 1.003))
 def test_routes_equal_all_pairs_heap_oracle_on_random_runs(case):
-    run, scale = case
-    budget_km = experiment.route_budget_km
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiment, "route_budget_km", lambda *args: budget_km(*args) * scale)
-        got = [routes for routes, _ in run_scenarios(run)]
+    run, scale, over_route = case
     shell = Constellation(run.constellation)
+    # A walk that turns back fails by the deadline instead of hanging.
+    with deadline(60.0):
+        want = [oracle_routes(shell, run.scenarios, k * run.slot_s, run.topology)
+                for k in range(run.n_slots)]
+        budget_km = {(sc.src, sc.dst): experiment.route_budget_km(shell, sc.src, sc.dst,
+                                                                   run.topology) * scale
+                     for sc in run.scenarios}
+        if over_route is not None:
+            # Each scenario's first oracle route, as a length.
+            for q, sc in enumerate(run.scenarios):
+                first = next((slot[q] for slot in want if slot[q] is not None), None)
+                if first is not None:
+                    budget_km[sc.src, sc.dst] = \
+                        over_route * first[1] * run.constants.c_vacuum / 1000.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "route_budget_km",
+                       lambda shell, src, dst, params: budget_km[src, dst])
+            got = [routes for routes, _ in run_scenarios(run)]
     for k in range(run.n_slots):
-        want = oracle_routes(shell, run.scenarios, k * run.slot_s, run.topology)
         assert [(r.labels(), r.total_latency_s) if r else None for r in (q[k] for q in got)] \
-            == want, k
+            == want[k], k

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from conftest import (
     KM_PER_MS,
@@ -22,7 +23,7 @@ from conftest import (
 )
 import leolat
 from leolat.experiment import builtin_scenarios, chord_bound_ms
-from leolat.routing import csr_layout, shortest_path
+from leolat.routing import csr_layout, find_routes, shortest_path
 from leolat.topology import NodeRef, TopologyParams, build_snapshot
 
 
@@ -226,6 +227,25 @@ def test_walk_steps_past_a_link_below_half_an_ulp():
     assert route.total_latency_s == reference[1] == pytest.approx(3e-3, rel=1e-12)
 
 
+def test_walk_takes_the_destination_from_its_own_row():
+    # Station rows hold only their uplinks: src 0 -> 2 of weight 1, and dst
+    # 1 -> 2 of weight 2 and 1 -> 3 of weight 1; satellites 2 and 3 are
+    # linked both ways, weight 1. Satellite 2 is tight both to dst, over a
+    # link that only dst's row holds, and to satellite 3, which is strictly
+    # closer to dst; dst numbers below it.
+    nodes = [*ground("a", "b"), NodeRef.satellite("x10101"), NodeRef.satellite("x10102")]
+    indptr, indices = [0, 1, 3, 4, 5], [2, 2, 3, 3, 2]
+    graph = csr_matrix((np.array([1.0, 2.0, 1.0, 1.0, 1.0]), indices, indptr), shape=(4, 4))
+    (route,) = find_routes(graph, [(0, 1)], nodes.__getitem__)
+    assert route.nodes == (nodes[0], nodes[2], nodes[1])
+    assert route.total_latency_s == 3.0
+    undirected = snapshot_from_edges([(nodes[0], nodes[2], KM_PER_MS),
+                                      (nodes[1], nodes[2], 2 * KM_PER_MS),
+                                      (nodes[1], nodes[3], KM_PER_MS),
+                                      (nodes[2], nodes[3], KM_PER_MS)])
+    assert shortest_path(undirected, nodes[0], nodes[1]).nodes == route.nodes
+
+
 class TestRoutesOnConstellation:
     def test_route_structure_and_chord_bound(self, default_constellation):
         scenario = builtin_scenarios()[0]
@@ -272,9 +292,9 @@ def test_runs_leave_scipy_spatial_out_and_fork_after_the_kernel_loads(tmp_path):
         pools = []
 
         class Pool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **initializer):
                 pools.append(("scipy.sparse.csgraph" in sys.modules, max_workers))
-                super().__init__(max_workers)
+                super().__init__(max_workers, **initializer)
 
         experiment.usable_cores = lambda: 2
         experiment.ProcessPoolExecutor = Pool
